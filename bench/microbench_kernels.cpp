@@ -187,6 +187,16 @@ void BM_Pack(benchmark::State& state) {
 }
 BENCHMARK(BM_Pack)->Arg(8)->Arg(32);
 
+// The array-sizing bound alone, on BM_Pack's netlist. pack() computes it on
+// every call, so CI holds it to a small fraction of BM_Pack/32: a return to
+// the quadratic linear scan (nearly all of a pack call) trips that ratio.
+void BM_PackLowerBound(benchmark::State& state) {
+  const auto p = prepare(static_cast<int>(state.range(0)));
+  const auto arch = core::PlbArchitecture::granular();
+  for (auto _ : state) benchmark::DoNotOptimize(pack::first_fit_tile_count(p.nl, arch));
+}
+BENCHMARK(BM_PackLowerBound)->Arg(32);
+
 void BM_Sta(benchmark::State& state) {
   const auto p = prepare(static_cast<int>(state.range(0)));
   timing::StaOptions o;

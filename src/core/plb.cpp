@@ -74,10 +74,11 @@ bool assign(const std::vector<ComponentClass>& needs, std::size_t i,
 }  // namespace
 
 bool fits_in_one_plb(const PlbArchitecture& arch, const std::vector<ConfigKind>& configs) {
+  const auto& specs = config_specs();  // one locked lookup per call, not per config
   std::vector<ComponentClass> needs;
   for (ConfigKind k : configs) {
     if (!arch.supports(k)) return false;
-    const auto& spec = config_spec(k);
+    const auto& spec = specs[static_cast<std::size_t>(k)];
     needs.insert(needs.end(), spec.needs.begin(), spec.needs.end());
   }
   // Order scarce (single-option) needs first: small speedup, same answer.

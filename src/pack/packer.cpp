@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <mutex>
+#include <limits>
+#include <map>
 
 #include "common/assert.hpp"
-#include "common/concurrency.hpp"
 #include "obs/obs.hpp"
 
 namespace vpga::pack {
@@ -38,49 +38,165 @@ ConfigKind config_of(const Netlist& nl, NodeId id) {
 }
 
 /// An atomic packing unit: a single configuration node, or a multi-output
-/// macro (full adder) whose members must land in the same tile.
+/// macro (full adder) whose members must land in the same tile and share the
+/// representative's one combined configuration.
 struct Group {
   std::uint32_t rep = 0;
-  std::vector<std::uint32_t> members;
-  std::vector<ConfigKind> configs;
+  ConfigKind config{};
 };
 
-std::vector<Group> build_groups(const Netlist& nl) {
+constexpr int kNoGroup = -1;
+
+/// The packing groups in order of first member, and the group of every node
+/// (kNoGroup for nodes that use no slots).
+struct Grouping {
   std::vector<Group> groups;
+  std::vector<int> group_of_node;
+};
+
+Grouping build_groups(const Netlist& nl) {
+  Grouping out;
+  out.group_of_node.assign(nl.num_nodes(), kNoGroup);
   // Reps are node ids, so a dense index beats a hash map in the packer's
-  // hottest entry path; one counting pass sizes `groups` exactly.
-  constexpr std::size_t kNoGroup = ~std::size_t{0};
-  std::vector<std::size_t> index_of_rep(nl.num_nodes(), kNoGroup);
-  std::size_t consuming = 0;
-  for (NodeId id : nl.all_nodes())
-    if (consumes_slots(nl, id)) ++consuming;
-  groups.reserve(consuming);
+  // hottest entry path.
+  std::vector<int> index_of_rep(nl.num_nodes(), kNoGroup);
   for (NodeId id : nl.all_nodes()) {
     if (!consumes_slots(nl, id)) continue;
     const auto& n = nl.node(id);
     const std::uint32_t rep = n.in_macro() ? n.macro_rep.value() : id.value();
-    std::size_t& slot = index_of_rep[rep];
+    int& slot = index_of_rep[rep];
     if (slot == kNoGroup) {
-      slot = groups.size();
-      groups.push_back(Group{rep, {}, {}});
+      slot = static_cast<int>(out.groups.size());
+      out.groups.push_back(Group{rep, config_of(nl, NodeId(rep))});
     }
-    groups[slot].members.push_back(id.value());
+    out.group_of_node[id.index()] = slot;
   }
-  for (auto& g : groups) {
-    if (g.members.size() > 1 || nl.node(NodeId(g.rep)).in_macro()) {
-      // Macro: one combined configuration (currently only the full adder).
-      g.configs = {config_of(nl, NodeId(g.rep))};
-    } else {
-      g.configs = {config_of(nl, NodeId(g.members[0]))};
-    }
-  }
-  return groups;
+  return out;
 }
 
-/// A tile being filled.
-struct Tile {
-  std::vector<ConfigKind> contents;
+/// Interned tile contents. Whether a configuration fits a tile depends only
+/// on the multiset of configurations already in it, so each distinct
+/// multiset the packer meets gets a small state id, and the exact
+/// fits_in_one_plb model is asked about each multiset at most once. Tiles in
+/// the same state are interchangeable.
+class TileStates {
+ public:
+  using Counts = std::array<int, core::kNumConfigKinds>;
+  static constexpr int kEmpty = 0;
+  static constexpr int kNoFit = -1;
+
+  explicit TileStates(const PlbArchitecture& arch) : arch_(arch) {
+    ids_.emplace(Counts{}, kEmpty);
+    add_state(Counts{});
+  }
+
+  /// The state of a `state` tile after adding `k`, or kNoFit.
+  int next(int state, ConfigKind k) {
+    const auto ki = static_cast<std::size_t>(k);
+    if (const int known = next_[static_cast<std::size_t>(state)][ki]; known != kUnknown)
+      return known;
+    Counts grown = counts_[static_cast<std::size_t>(state)];
+    ++grown[ki];
+    // Different (state, kind) pairs can reach one multiset: ask about it once.
+    const auto [it, fresh] = ids_.try_emplace(grown, kNoFit);
+    if (fresh && fits(grown)) it->second = add_state(grown);
+    const int to = it->second;
+    auto& from_next = next_[static_cast<std::size_t>(state)];  // after add_state: it may reallocate
+    from_next[ki] = to;
+    if (to != kNoFit) {
+      // What does not fit this tile does not fit it with more in it either
+      // (fits_in_one_plb is monotone), so `to` inherits those answers.
+      auto& to_next = next_[static_cast<std::size_t>(to)];
+      for (std::size_t j = 0; j < to_next.size(); ++j)
+        if (from_next[j] == kNoFit) to_next[j] = kNoFit;
+    }
+    return to;
+  }
+  /// How many of each ConfigKind a `state` tile holds.
+  [[nodiscard]] const Counts& counts(int state) const {
+    return counts_[static_cast<std::size_t>(state)];
+  }
+  [[nodiscard]] int size() const { return static_cast<int>(counts_.size()); }
+
+ private:
+  static constexpr int kUnknown = -2;
+
+  bool fits(const Counts& c) const {
+    std::vector<ConfigKind> contents;
+    for (std::size_t k = 0; k < c.size(); ++k)
+      contents.insert(contents.end(), static_cast<std::size_t>(c[k]), static_cast<ConfigKind>(k));
+    return core::fits_in_one_plb(arch_, contents);
+  }
+
+  int add_state(const Counts& c) {
+    counts_.push_back(c);
+    next_.emplace_back().fill(kUnknown);
+    return size() - 1;
+  }
+
+  const PlbArchitecture& arch_;
+  std::vector<Counts> counts_;
+  std::vector<std::array<int, core::kNumConfigKinds>> next_;
+  std::map<Counts, int> ids_;  // every multiset asked about: its state, or kNoFit
 };
+
+/// First-fit bin packing in group order: each group joins the lowest-index
+/// open tile it fits, else opens a tile. Open tiles sit in per-state buckets
+/// ordered by tile index, so the first fitting tile is the lowest bucket
+/// front over the states whose transition on the group's configuration is
+/// legal — the same tile a linear scan over all open tiles picks.
+int first_fit_tile_count(const std::vector<Group>& groups, TileStates& states) {
+  struct Bucket {
+    std::vector<int> tiles;  // ascending; tiles[0, head) have left the state
+    std::size_t head = 0;
+  };
+  constexpr int kNone = std::numeric_limits<int>::max();
+  std::vector<Bucket> open;
+  std::vector<int> front;  // per state: its lowest open tile, or kNone
+  // States in the order they first held a tile; per kind, how many of them
+  // were checked so far and which of those take the kind.
+  std::vector<int> occupied;
+  occupied.reserve(groups.size());  // each group occupies at most one new state
+  std::array<std::size_t, core::kNumConfigKinds> checked{};
+  std::array<std::vector<int>, core::kNumConfigKinds> accepting;
+  int tiles = 0;
+  for (const auto& g : groups) {
+    const auto k = static_cast<std::size_t>(g.config);
+    for (; checked[k] < occupied.size(); ++checked[k])
+      if (const int s = occupied[checked[k]]; states.next(s, g.config) != TileStates::kNoFit)
+        accepting[k].push_back(s);
+    int from = TileStates::kEmpty;
+    int tile = tiles;  // default: open a new tile
+    for (const int s : accepting[k])
+      if (front[static_cast<std::size_t>(s)] < tile) {
+        from = s;
+        tile = front[static_cast<std::size_t>(s)];
+      }
+    if (tile == tiles) {
+      ++tiles;
+    } else {
+      Bucket& b = open[static_cast<std::size_t>(from)];
+      ++b.head;
+      front[static_cast<std::size_t>(from)] = b.head < b.tiles.size() ? b.tiles[b.head] : kNone;
+    }
+    // A configuration that does not fit even an empty tile still opens one,
+    // which nothing else can join (fits_in_one_plb is monotone).
+    const int to = states.next(from, g.config);
+    if (to == TileStates::kNoFit) continue;
+    open.resize(static_cast<std::size_t>(states.size()));
+    front.resize(static_cast<std::size_t>(states.size()), kNone);
+    Bucket& b = open[static_cast<std::size_t>(to)];
+    if (b.tiles.empty()) occupied.push_back(to);
+    if (b.tiles.empty() || b.tiles.back() < tile)
+      b.tiles.push_back(tile);  // the usual case: tiles mostly arrive in index order
+    else
+      b.tiles.insert(std::upper_bound(b.tiles.begin() + static_cast<std::ptrdiff_t>(b.head),
+                                      b.tiles.end(), tile),
+                     tile);
+    front[static_cast<std::size_t>(to)] = b.tiles[b.head];
+  }
+  return tiles;
+}
 
 /// Per-class demand tally. ComponentClass is a bitmask over the
 /// kNumPlbComponents component kinds, so every possible class fits in a flat
@@ -105,43 +221,14 @@ bool hall_feasible(const PlbArchitecture& arch, int tiles, const DemandTally& de
 }
 
 void add_demand(DemandTally& d, const Group& g) {
-  for (ConfigKind k : g.configs)
-    for (auto cls : core::config_spec(k).needs) ++d[cls];
-}
-
-/// Backing store of pack::pack_tally(). pack() runs on four threads under a
-/// parallel compare, hence the lock discipline.
-struct PackTally {
-  std::mutex mu;
-  long long packs FABRIC_GUARDED_BY(mu) = 0;
-  long long grow_attempts FABRIC_GUARDED_BY(mu) = 0;
-};
-
-PackTally& pack_tally_storage() {
-  static PackTally tally;
-  return tally;
+  for (auto cls : core::config_spec(g.config).needs) ++d[cls];
 }
 
 }  // namespace
 
 int first_fit_tile_count(const Netlist& nl, const PlbArchitecture& arch) {
-  const auto groups = build_groups(nl);
-  std::vector<Tile> tiles;
-  tiles.reserve(groups.size());  // worst case: every group opens a tile
-  for (const auto& g : groups) {
-    bool placed = false;
-    for (auto& t : tiles) {
-      const auto before = t.contents.size();
-      t.contents.insert(t.contents.end(), g.configs.begin(), g.configs.end());
-      if (core::fits_in_one_plb(arch, t.contents)) {
-        placed = true;
-        break;
-      }
-      t.contents.resize(before);
-    }
-    if (!placed) tiles.push_back(Tile{g.configs});
-  }
-  return static_cast<int>(tiles.size());
+  TileStates states(arch);
+  return first_fit_tile_count(build_groups(nl).groups, states);
 }
 
 PackedDesign pack(const Netlist& nl, const place::Placement& placed,
@@ -151,32 +238,40 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
   out.legal = placed;
   out.tile_of_node.assign(nl.num_nodes(), -1);
 
-  const auto groups = build_groups(nl);
+  const Grouping grouping = build_groups(nl);
+  const std::vector<Group>& groups = grouping.groups;
+  const std::vector<int>& group_of_node = grouping.group_of_node;
   obs::count("pack.groups", static_cast<long long>(groups.size()));
 
-  const int lower_bound = std::max(1, first_fit_tile_count(nl, arch));
+  TileStates states(arch);
+  int lower_bound = 0;
+  {
+    const obs::Span bound_span("pack.lower_bound");
+    lower_bound = std::max(1, first_fit_tile_count(groups, states));
+  }
   int target_tiles = std::max(
       1, static_cast<int>(std::ceil(static_cast<double>(lower_bound) * opts.initial_margin)));
 
-  auto group_criticality = [&](const Group& g) {
-    if (opts.criticality.empty()) return 0.0;
-    double c = 0.0;
-    for (auto v : g.members) c = std::max(c, opts.criticality[v]);
-    return c;
-  };
+  // A group is as critical as its most critical member.
+  std::vector<double> criticality(groups.size(), 0.0);
+  if (!opts.criticality.empty())
+    for (std::size_t v = 0; v < group_of_node.size(); ++v)
+      if (const int g = group_of_node[v]; g != kNoGroup)
+        criticality[static_cast<std::size_t>(g)] =
+            std::max(criticality[static_cast<std::size_t>(g)], opts.criticality[v]);
 
   // Scratch reused across grow attempts: the grid dimensions change per
   // attempt but the heap capacity carries over.
-  std::vector<Tile> tiles;
-  std::vector<int> tile_of;
+  std::vector<int> tile_state;  // TileStates id per tile
+  std::vector<int> tile_of;     // tile per group
   for (;; target_tiles = std::max(target_tiles + 1,
                                   static_cast<int>(target_tiles * 1.06)),
           ++out.grow_attempts) {
     const obs::Span attempt_span("pack.attempt");
     const int gw = std::max(1, static_cast<int>(std::ceil(std::sqrt(target_tiles))));
     const int gh = (target_tiles + gw - 1) / gw;
-    tiles.assign(static_cast<std::size_t>(gw) * gh, Tile{});
-    tile_of.assign(nl.num_nodes(), -1);
+    tile_state.assign(static_cast<std::size_t>(gw) * gh, TileStates::kEmpty);
+    tile_of.assign(groups.size(), -1);
 
     // Map placed coordinates onto the tile grid (group position = its rep's).
     const double sx = placed.width_um > 0 ? gw / placed.width_um : 1.0;
@@ -233,14 +328,13 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
       for (int q = 0; q < nq; ++q) {
         auto& src = quad[q];
         std::sort(src.items.begin(), src.items.end(), [&](std::size_t a, std::size_t b) {
-          return group_criticality(groups[a]) > group_criticality(groups[b]);
+          return criticality[a] > criticality[b];
         });
         while (!src.items.empty() &&
                !hall_feasible(arch, src.w * src.h, demand[q])) {
           const auto gi = src.items.back();
           src.items.pop_back();
-          for (ConfigKind k : groups[gi].configs)
-            for (auto cls : core::config_spec(k).needs) --demand[q][cls];
+          for (auto cls : core::config_spec(groups[gi].config).needs) --demand[q][cls];
           // Receiver: the sibling with the most slack that stays feasible.
           int best = -1;
           int best_slack = -1;
@@ -280,37 +374,37 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
     // --- leaf filling + spiral relocation for overflow -----------------------
     bool ok = true;
     auto try_place = [&](std::size_t gi, int tx, int ty) {
-      Tile& t = tiles[static_cast<std::size_t>(ty) * gw + tx];
-      const auto before = t.contents.size();
-      t.contents.insert(t.contents.end(), groups[gi].configs.begin(),
-                        groups[gi].configs.end());
-      if (core::fits_in_one_plb(arch, t.contents)) {
-        for (auto v : groups[gi].members) tile_of[v] = ty * gw + tx;
-        return true;
-      }
-      t.contents.resize(before);
-      return false;
+      int& state = tile_state[static_cast<std::size_t>(ty) * gw + tx];
+      const int to = states.next(state, groups[gi].config);
+      if (to == TileStates::kNoFit) return false;
+      state = to;
+      tile_of[gi] = ty * gw + tx;
+      return true;
     };
     // Two-phase fill, wide footprints first: a full-adder macro needs a
     // completely free tile, so all macros claim tiles (leaf position, then
     // nearest-available spiral) before single configurations trickle in —
     // otherwise stranded macros force array growth.
     auto footprint = [&](std::size_t gi) {
-      std::size_t slots = 0;
-      for (ConfigKind k : groups[gi].configs) slots += core::config_spec(k).needs.size();
-      return slots;
+      return core::config_spec(groups[gi].config).needs.size();
     };
+    // Rings of growing radius around the group's tile, each walked row by
+    // row: the full top row, the two side cells of each middle row, then the
+    // full bottom row.
     auto spiral_place = [&](std::size_t gi) {
       const int cx = tile_x(groups[gi]), cy = tile_y(groups[gi]);
-      for (int radius = 0; radius < gw + gh; ++radius) {
-        for (int dy = -radius; dy <= radius; ++dy) {
-          for (int dx = -radius; dx <= radius; ++dx) {
-            if (std::max(std::abs(dx), std::abs(dy)) != radius) continue;
-            const int tx = cx + dx, ty = cy + dy;
-            if (tx < 0 || ty < 0 || tx >= gw || ty >= gh) continue;
-            if (try_place(gi, tx, ty)) return true;
-          }
-        }
+      auto try_at = [&](int dx, int dy) {
+        const int tx = cx + dx, ty = cy + dy;
+        return tx >= 0 && ty >= 0 && tx < gw && ty < gh && try_place(gi, tx, ty);
+      };
+      if (try_at(0, 0)) return true;
+      for (int radius = 1; radius < gw + gh; ++radius) {
+        for (int dx = -radius; dx <= radius; ++dx)
+          if (try_at(dx, -radius)) return true;
+        for (int dy = -radius + 1; dy < radius; ++dy)
+          if (try_at(-radius, dy) || try_at(radius, dy)) return true;
+        for (int dx = -radius; dx <= radius; ++dx)
+          if (try_at(dx, radius)) return true;
       }
       return false;
     };
@@ -328,7 +422,7 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
           }
         std::sort(overflow.begin(), overflow.end(), [&](std::size_t a, std::size_t b) {
           if (footprint(a) != footprint(b)) return footprint(a) > footprint(b);
-          return group_criticality(groups[a]) > group_criticality(groups[b]);
+          return criticality[a] > criticality[b];
         });
         obs::count("pack.spiral_relocations", static_cast<long long>(overflow.size()));
         for (auto gi : overflow)
@@ -341,7 +435,9 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
     // --- success: finalize ----------------------------------------------------
     out.grid_w = gw;
     out.grid_h = gh;
-    out.tile_of_node = std::move(tile_of);
+    for (std::size_t v = 0; v < group_of_node.size(); ++v)
+      if (const int g = group_of_node[v]; g != kNoGroup)
+        out.tile_of_node[v] = tile_of[static_cast<std::size_t>(g)];
     out.die_area_um2 = static_cast<double>(gw) * gh * arch.tile_area_um2;
     // Legalized positions: tile centers; I/O scaled onto the new die.
     out.legal.width_um = gw * out.tile_size_um;
@@ -384,27 +480,22 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
     }
     int used = 0;
     std::array<int, core::kNumPlbComponents> slots_used{};
-    for (const auto& t : tiles) {
-      if (t.contents.empty()) continue;
+    for (const int state : tile_state) {
+      if (state == TileStates::kEmpty) continue;
       ++used;
-      for (ConfigKind k : t.contents)
-        for (auto cls : core::config_spec(k).needs)
+      const auto& counts = states.counts(state);
+      for (std::size_t k = 0; k < counts.size(); ++k)
+        for (auto cls : core::config_spec(static_cast<ConfigKind>(k)).needs)
           for (int c = 0; c < core::kNumPlbComponents; ++c)
             if (core::class_accepts(cls, static_cast<core::PlbComponent>(c))) {
               // Attribution for the report only: count against the first
               // accepting component kind.
-              ++slots_used[static_cast<std::size_t>(c)];
+              slots_used[static_cast<std::size_t>(c)] += counts[k];
               break;
             }
     }
     out.plbs_used = used;
     obs::count("pack.grow_attempts", out.grow_attempts);
-    {
-      PackTally& tally = pack_tally_storage();
-      const std::lock_guard<std::mutex> lock(tally.mu);
-      ++tally.packs;
-      tally.grow_attempts += out.grow_attempts;
-    }
     for (int c = 0; c < core::kNumPlbComponents; ++c) {
       const int cap = used * arch.component_count[static_cast<std::size_t>(c)];
       out.slot_utilization[static_cast<std::size_t>(c)] =
@@ -412,12 +503,6 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
     }
     return out;
   }
-}
-
-PackTallySnapshot pack_tally() {
-  PackTally& tally = pack_tally_storage();
-  const std::lock_guard<std::mutex> lock(tally.mu);
-  return {tally.packs, tally.grow_attempts};
 }
 
 }  // namespace vpga::pack

@@ -52,18 +52,9 @@ struct PackedDesign {
 PackedDesign pack(const netlist::Netlist& nl, const place::Placement& placed,
                   const core::PlbArchitecture& arch, const PackOptions& opts = {});
 
-/// Lower bound on tiles by first-fit bin packing in placement order (used to
-/// size the array; also a useful density metric on its own).
+/// Lower bound on tiles by first-fit bin packing in netlist order (used to
+/// size the array; also a useful density metric on its own). Each distinct
+/// tile content is checked against core::fits_in_one_plb once.
 int first_fit_tile_count(const netlist::Netlist& nl, const core::PlbArchitecture& arch);
-
-/// Process-lifetime packer counters, accumulated across every pack() call in
-/// the process. pack() runs concurrently under FlowOptions::parallel_compare,
-/// so the backing store is mutex-guarded (FABRIC_GUARDED_BY,
-/// src/common/concurrency.hpp) and read through a locked snapshot.
-struct PackTallySnapshot {
-  long long packs = 0;          ///< completed pack() calls
-  long long grow_attempts = 0;  ///< summed array-size retries
-};
-[[nodiscard]] PackTallySnapshot pack_tally();
 
 }  // namespace vpga::pack

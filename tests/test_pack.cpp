@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "compact/compact.hpp"
+#include "core/arch_io.hpp"
 #include "designs/designs.hpp"
 #include "synth/mapper.hpp"
 
@@ -21,13 +23,51 @@ struct Prepared {
   place::Placement placed;
 };
 
-Prepared prepare(const netlist::Netlist& src, const PlbArchitecture& arch) {
+netlist::Netlist compacted(const netlist::Netlist& src, const PlbArchitecture& arch) {
   const auto mapped =
       synth::tech_map(src, synth::cell_target(arch), synth::Objective::kDelay);
-  auto comp = compact::compact(mapped.netlist, arch);
-  Prepared p{std::move(comp.netlist), {}};
+  return compact::compact(mapped.netlist, arch).netlist;
+}
+
+Prepared prepare(const netlist::Netlist& src, const PlbArchitecture& arch) {
+  Prepared p{compacted(src, arch), {}};
   p.placed = place::place(p.nl);
   return p;
+}
+
+/// Reference first fit: the plain linear scan, rebuilt from public node
+/// fields. One packing group per slot-consuming node (a macro once, at its
+/// representative, carrying the representative's configuration), in order
+/// of first member; each joins the lowest-index tile it fits, else opens one.
+int linear_scan_first_fit(const netlist::Netlist& nl, const PlbArchitecture& arch) {
+  std::vector<ConfigKind> groups;
+  std::vector<bool> seen(nl.num_nodes(), false);
+  for (netlist::NodeId id : nl.all_nodes()) {
+    const auto& n = nl.node(id);
+    const bool slots = (n.type == netlist::NodeType::kDff) ||
+                       (n.type == netlist::NodeType::kComb && n.has_config());
+    if (!slots) continue;
+    const netlist::NodeId rep = n.in_macro() ? n.macro_rep : id;
+    if (seen[rep.index()]) continue;
+    seen[rep.index()] = true;
+    const auto& r = nl.node(rep);
+    groups.push_back(r.type == netlist::NodeType::kDff ? ConfigKind::kFf
+                                                       : static_cast<ConfigKind>(r.config_tag));
+  }
+  std::vector<std::vector<ConfigKind>> tiles;
+  for (ConfigKind k : groups) {
+    bool placed = false;
+    for (auto& t : tiles) {
+      t.push_back(k);
+      if (core::fits_in_one_plb(arch, t)) {
+        placed = true;
+        break;
+      }
+      t.pop_back();
+    }
+    if (!placed) tiles.push_back({k});
+  }
+  return static_cast<int>(tiles.size());
 }
 
 /// Re-derives tile contents and checks the resource model per tile.
@@ -158,14 +198,42 @@ TEST(Pack, SlotUtilizationReported) {
   EXPECT_GT(total, 0.0);
 }
 
-TEST(Pack, PackTallyAccumulatesAcrossCalls) {
-  const auto arch = PlbArchitecture::granular();
-  const auto p = prepare(designs::make_ripple_adder(8), arch);
-  const auto before = pack_tally();
-  const auto d = pack(p.nl, p.placed, arch);
-  const auto after = pack_tally();
-  EXPECT_EQ(after.packs, before.packs + 1);
-  EXPECT_EQ(after.grow_attempts, before.grow_attempts + d.grow_attempts);
+TEST(Pack, FirstFitMatchesLinearScan) {
+  const auto wide = core::parse_architecture(
+      "plb wide\n"
+      "components xoa=2 mux=4 nd3=2 dff=2\n"
+      "configs MX ND3 NDMX XOAMX XOANDMX FF FA\n"
+      "tile_area 200\ncomb_area 130\nend\n");
+  ASSERT_TRUE(wide.ok) << wide.error;
+  ASSERT_TRUE(core::fits_in_one_plb(wide.arch, {ConfigKind::kFullAdder, ConfigKind::kFullAdder}));
+  const std::vector<PlbArchitecture> archs = {
+      PlbArchitecture::granular(), PlbArchitecture::lut_based(),
+      PlbArchitecture::granular_with_ffs(2), PlbArchitecture::granular_with_ffs(4), wide.arch};
+  const std::vector<std::pair<const char*, netlist::Netlist>> suite = {
+      {"alu32", designs::make_alu(32).netlist},
+      {"fpu1", designs::make_fpu(8, 23, 1).netlist},
+      {"firewire16x16", designs::make_firewire(16, 16).netlist}};
+  for (const auto& [name, design] : suite)
+    for (const auto& arch : archs) {
+      const auto nl = compacted(design, arch);
+      EXPECT_EQ(first_fit_tile_count(nl, arch), linear_scan_first_fit(nl, arch))
+          << name << " on " << arch.name;
+    }
+  // LUT3 configurations fit no granular tile: each opens a tile that
+  // nothing else joins.
+  const auto gran = PlbArchitecture::granular();
+  const auto lut_mapped = compacted(suite[0].second, PlbArchitecture::lut_based());
+  EXPECT_EQ(first_fit_tile_count(lut_mapped, gran), linear_scan_first_fit(lut_mapped, gran));
+}
+
+TEST(Pack, FirstFitCountsPinned) {
+  // The ALU-32 bounds the linear-scan first fit gave, so a change to the
+  // grouping or the resource model shows here and not only in the reference.
+  const auto alu = designs::make_alu(32);
+  const auto gran = PlbArchitecture::granular();
+  const auto lut = PlbArchitecture::lut_based();
+  EXPECT_EQ(first_fit_tile_count(compacted(alu.netlist, gran), gran), 350);
+  EXPECT_EQ(first_fit_tile_count(compacted(alu.netlist, lut), lut), 782);
 }
 
 }  // namespace
