@@ -13,8 +13,8 @@
 #include "core/fa_packing.hpp"
 #include "designs/designs.hpp"
 #include "flow/flow.hpp"
-#include "netlist/simulate.hpp"
 #include "synth/mapper.hpp"
+#include "verify/equiv.hpp"
 
 int main(int argc, char** argv) {
   using namespace vpga;
@@ -41,7 +41,9 @@ int main(int argc, char** argv) {
         synth::tech_map(src, synth::cell_target(*arch), synth::Objective::kDelay);
     auto comp = compact::compact_from(src, mapped.netlist, *arch);
     // Verify functional equivalence through the transformations.
-    const bool ok = netlist::equivalent_random_sim(src, comp.netlist, 256);
+    verify::VerifyReport equiv;
+    verify::check_equivalence(src, comp.netlist, "post-compact", equiv, {.cycles = 256});
+    const bool ok = equiv.error_count() == 0;
     const int fas =
         comp.report.config_histogram[static_cast<int>(core::ConfigKind::kFullAdder)];
     std::printf("  %-13s: %d FA macros fused, equivalence %s\n", arch->name.c_str(), fas,

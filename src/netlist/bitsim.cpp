@@ -1,11 +1,14 @@
 #include "netlist/bitsim.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace vpga::netlist {
 
 BitSimulator::BitSimulator(const Netlist& nl)
-    : nl_(nl), order_(nl.topo_order()), values_(nl.num_nodes(), 0) {
+    : nl_(nl), order_(nl.topo_order()), values_(nl.num_nodes(), 0),
+      state_(nl.dffs().size(), 0) {
   for (NodeId id : nl.all_nodes()) {
     const Node& n = nl.node(id);
     if (n.type == NodeType::kConst)
@@ -19,11 +22,12 @@ void BitSimulator::set_input(std::size_t i, std::uint64_t patterns) {
 }
 
 void BitSimulator::set_state(std::size_t d, std::uint64_t patterns) {
-  VPGA_ASSERT(d < nl_.dffs().size());
-  values_[nl_.dffs()[d].index()] = patterns;
+  VPGA_ASSERT(d < state_.size());
+  state_[d] = patterns;
 }
 
 void BitSimulator::eval() {
+  for (std::size_t d = 0; d < state_.size(); ++d) values_[nl_.dffs()[d].index()] = state_[d];
   for (NodeId id : order_) {
     const Node& n = nl_.node(id);
     const auto fins = nl_.fanins(id);
@@ -49,6 +53,12 @@ void BitSimulator::eval() {
   }
 }
 
+void BitSimulator::step() {
+  for (std::size_t d = 0; d < state_.size(); ++d) state_[d] = next_state(d);
+}
+
+void BitSimulator::reset() { std::fill(state_.begin(), state_.end(), 0); }
+
 std::uint64_t BitSimulator::output(std::size_t i) const {
   VPGA_ASSERT(i < nl_.outputs().size());
   return values_[nl_.outputs()[i].index()];
@@ -57,7 +67,7 @@ std::uint64_t BitSimulator::output(std::size_t i) const {
 std::uint64_t BitSimulator::next_state(std::size_t d) const {
   VPGA_ASSERT(d < nl_.dffs().size());
   const NodeId din = nl_.fanin(nl_.dffs()[d], 0);
-  VPGA_ASSERT(din.valid());
+  VPGA_ASSERT_MSG(din.valid(), "DFF left unconnected");
   return values_[din.index()];
 }
 

@@ -1,12 +1,16 @@
 #pragma once
 /// \file bitsim.hpp
-/// Bit-parallel (64-pattern) simulation and exhaustive equivalence checking.
+/// Bit-parallel (64-pattern), cycle-accurate netlist simulation and
+/// exhaustive equivalence checking.
 ///
 /// Each node value is a 64-bit word holding 64 independent input patterns, so
 /// a combinational netlist with n <= ~20 inputs can be checked against a
 /// reference *exhaustively* (2^n patterns, 64 at a time) in milliseconds —
 /// turning the synthesis pipeline's equivalence tests from sampling into
-/// proof for adder/mux-sized cones.
+/// proof for adder/mux-sized cones. This is the project's only netlist
+/// simulator: random co-simulation (verify/equiv), power activity
+/// (timing/power) and CEC's bitsim tier all run on it. A scalar simulation is
+/// one lane of it: broadcast each input bit to the whole word and read bit 0.
 
 #include <cstdint>
 #include <vector>
@@ -16,18 +20,24 @@
 namespace vpga::netlist {
 
 /// Evaluates 64 input patterns at once through the combinational logic.
-/// Sequential netlists are supported: DFF outputs are part of the pattern
-/// state you set explicitly (useful for checking next-state functions).
+/// Keeps one state word per DFF (indexed like nl.dffs()): eval() drives each
+/// DFF output from it, and a single global clock edge (step()) captures every
+/// D word into it. State starts at, and reset() returns it to, all zeros.
 class BitSimulator {
  public:
   explicit BitSimulator(const Netlist& nl);
 
   /// Sets the 64-pattern word of primary input i.
   void set_input(std::size_t i, std::uint64_t patterns);
-  /// Sets the 64-pattern word of DFF d's output (state).
+  /// Sets the 64-pattern state word of DFF d (its output in the next eval()).
   void set_state(std::size_t d, std::uint64_t patterns);
-  /// Propagates through all combinational logic.
+  /// Propagates inputs and DFF state through all combinational logic.
   void eval();
+  /// Clock edge: every DFF captures its D word. Call after eval().
+  void step();
+  /// Resets all DFF state to 0.
+  void reset();
+
   [[nodiscard]] std::uint64_t output(std::size_t i) const;
   [[nodiscard]] std::uint64_t value(NodeId id) const { return values_[id.index()]; }
   /// 64-pattern word of DFF d's next-state (D pin) after eval().
@@ -37,6 +47,7 @@ class BitSimulator {
   const Netlist& nl_;
   std::vector<NodeId> order_;
   std::vector<std::uint64_t> values_;
+  std::vector<std::uint64_t> state_;  // per-DFF (indexed like nl.dffs())
 };
 
 /// Exhaustively proves combinational equivalence of two netlists with the

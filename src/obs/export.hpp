@@ -2,8 +2,7 @@
 /// \file export.hpp
 /// OpenMetrics text exposition for the metrics registry.
 ///
-/// The future flowd daemon (ROADMAP "flow-as-a-service") needs a scrape
-/// endpoint; emitting the standard OpenMetrics text format now means any
+/// Emitting the standard OpenMetrics text format means any
 /// Prometheus-compatible scraper ingests a flow run's counters, gauges and
 /// histograms for free. Name mapping: dotted obs names become underscored
 /// families under a `vpga_` prefix (`route.ripups` -> `vpga_route_ripups`),
@@ -19,10 +18,5 @@ namespace vpga::obs {
 
 /// One report's metrics as an OpenMetrics text document.
 std::string openmetrics_text(const ObsReport& report);
-
-/// Registers the daemon-reserved gauges (`serve.queue_depth`,
-/// `serve.cache_hit_rate`) at zero so scrapes observe the metric families
-/// from the first exposition, before the daemon lands.
-void register_serve_gauges(MetricsRegistry& registry);
 
 }  // namespace vpga::obs

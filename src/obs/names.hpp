@@ -30,13 +30,11 @@ inline constexpr std::array<std::string_view, 22> kSpanNames = {
 };
 
 /// Counter / gauge / histogram names (obs::count, obs::gauge, obs::observe).
-/// The `serve.*` gauges are reserved for the flowd daemon (ROADMAP) and
-/// registered by obs::register_serve_gauges so the OpenMetrics export always
-/// exposes them; `flow.alloc_*` are the run-wide memtrack totals (per-span
-/// totals are the dynamic "<span>.alloc_bytes" family, exempt by
-/// construction like every concatenated name).
-inline constexpr std::array<std::string_view, 60> kMetricNames = {
-    "map.cuts_enumerated", "map.match_attempts", "map.dp_rounds", "map.nodes_emitted",
+/// `flow.alloc_*` are the run-wide memtrack totals (per-span totals are the
+/// dynamic "<span>.alloc_bytes" family, exempt by construction like every
+/// concatenated name).
+inline constexpr std::array<std::string_view, 52> kMetricNames = {
+    "map.cuts_enumerated", "map.dp_rounds", "map.nodes_emitted",
     "compact.cover_rounds",
     "pack.groups", "pack.grow_attempts", "pack.spiral_relocations", "pack.displacement_um",
     "flow.pack_sta_iterations",
@@ -44,12 +42,10 @@ inline constexpr std::array<std::string_view, 60> kMetricNames = {
     "place.median_sweeps", "place.sa_moves", "place.sa_accepted",
     "route.nets", "route.connections", "route.ripups", "route.maze_routes",
     "route.overflow_edges", "route.peak_congestion",
-    "serve.queue_depth", "serve.cache_hit_rate",
     "sta.analyses", "sta.arrival_propagations",
     "verify.checks", "verify.findings", "verify.errors", "verify.equiv.vectors",
     "verify.via_budget.overruns",
-    "cec.points", "cec.tier_struct", "cec.tier_table", "cec.tier_exhaustive",
-    "cec.tier_bdd", "cec.tier_sat", "cec.npn_rejects", "cec.sweep_merges", "cec.unknown",
+    "cec.points", "cec.npn_rejects", "cec.sweep_merges", "cec.unknown",
     "cec.cache_hits",
     "cec.tier_resolved.structural", "cec.tier_resolved.truth", "cec.tier_resolved.bitsim",
     "cec.tier_resolved.bdd", "cec.tier_resolved.sat",

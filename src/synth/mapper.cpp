@@ -78,17 +78,14 @@ MapResult tech_map(const netlist::Netlist& src, const MapTarget& target,
 
   // NPN match index: each cut's matching-option set is one table load,
   // computed once here instead of per (round, cut, option) coverage probes
-  // inside the DP. `match_attempts` counts these lookups — one per cut.
+  // inside the DP: one lookup per cut, so `map.cuts_enumerated` counts them.
   const MatchIndex index(target);
   std::vector<MatchIndex::OptionMask> cut_masks(cuts.total_cuts());
-  long long match_attempts = 0;
   for (std::uint32_t n = 0; n < g.num_nodes(); ++n) {
     const auto node_cuts = cuts.cuts(n);
     const std::size_t flat = cuts.offset(n);
-    for (std::size_t ci = 0; ci < node_cuts.size(); ++ci) {
-      ++match_attempts;
+    for (std::size_t ci = 0; ci < node_cuts.size(); ++ci)
       cut_masks[flat + ci] = index.options_for(node_cuts[ci].tt);
-    }
   }
 
   // Fanout estimates for area flow, refined from the chosen cover each round
@@ -289,7 +286,6 @@ MapResult tech_map(const netlist::Netlist& src, const MapTarget& target,
     }
     result.stats.depth = depth;
   }
-  obs::count("map.match_attempts", match_attempts);
   obs::count("map.nodes_emitted", result.stats.nodes);
   return result;
 }

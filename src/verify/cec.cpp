@@ -929,11 +929,6 @@ void check_cec(const Netlist& golden, const Netlist& revised, const std::string&
   const CecReport cec = check_combinational_equivalence(golden, revised, eff);
 
   obs::count("cec.points", cec.checks);
-  obs::count("cec.tier_struct", cec.tier_struct);
-  obs::count("cec.tier_table", cec.tier_table);
-  obs::count("cec.tier_exhaustive", cec.tier_exhaustive);
-  obs::count("cec.tier_bdd", cec.tier_bdd);
-  obs::count("cec.tier_sat", cec.tier_sat);
   obs::count("cec.npn_rejects", cec.npn_rejects);
   obs::count("cec.sweep_merges", cec.sweep_merges);
   obs::count("cec.unknown", cec.unknown);

@@ -55,10 +55,8 @@ void check_equivalence(const Netlist& golden, const Netlist& revised,
   }
 
   // 64 independent pattern streams per cycle; registers clock in lockstep
-  // from the all-zero reset state, each netlist tracking its own state words.
+  // from the all-zero reset state.
   BitSimulator sa(golden), sb(revised);
-  std::vector<std::uint64_t> state_a(golden.dffs().size(), 0);
-  std::vector<std::uint64_t> state_b(revised.dffs().size(), 0);
   common::Rng rng(opts.seed);
 
   for (int cycle = 0; cycle < opts.cycles; ++cycle) {
@@ -68,8 +66,6 @@ void check_equivalence(const Netlist& golden, const Netlist& revised,
       sa.set_input(i, w);
       sb.set_input(i, w);
     }
-    for (std::size_t d = 0; d < state_a.size(); ++d) sa.set_state(d, state_a[d]);
-    for (std::size_t d = 0; d < state_b.size(); ++d) sb.set_state(d, state_b[d]);
     sa.eval();
     sb.eval();
 
@@ -86,8 +82,8 @@ void check_equivalence(const Netlist& golden, const Netlist& revised,
       return;  // first diverging cone only; later mismatches are downstream noise
     }
 
-    for (std::size_t d = 0; d < state_a.size(); ++d) state_a[d] = sa.next_state(d);
-    for (std::size_t d = 0; d < state_b.size(); ++d) state_b[d] = sb.next_state(d);
+    sa.step();
+    sb.step();
   }
 }
 

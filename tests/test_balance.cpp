@@ -6,7 +6,7 @@
 
 #include "common/rng.hpp"
 #include "designs/designs.hpp"
-#include "netlist/simulate.hpp"
+#include "sim_check.hpp"
 
 namespace vpga::aig {
 namespace {
@@ -95,7 +95,7 @@ TEST(Balance, RealDesignKeepsBehaviour) {
   EXPECT_LE(r.depth_after, r.depth_before);
   AigMapping balanced{std::move(r.aig), m.num_pis, m.num_latches, m.num_pos};
   const auto back = to_netlist(balanced);
-  EXPECT_TRUE(netlist::equivalent_random_sim(nl, back, 300));
+  EXPECT_TRUE(test::sim_equivalent(nl, back, 300));
 }
 
 }  // namespace

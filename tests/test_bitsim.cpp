@@ -1,4 +1,5 @@
-// Tests for bit-parallel simulation and exhaustive equivalence checking.
+// Tests for bit-parallel, cycle-accurate simulation and exhaustive
+// equivalence checking.
 
 #include "netlist/bitsim.hpp"
 
@@ -55,6 +56,63 @@ TEST(BitSim, NextStateReadsDffDInputs) {
   for (int d = 0; d < 4; ++d)
     EXPECT_EQ(sim.next_state(static_cast<std::size_t>(d)) & 1,
               static_cast<std::uint64_t>((6 >> d) & 1));
+}
+
+constexpr std::uint64_t kAll = ~std::uint64_t{0};
+
+TEST(BitSim, ToggleFlipFlopCounts) {
+  Netlist nl;
+  const auto one = nl.add_constant(true);
+  const auto ff = nl.add_dff(NodeId{});
+  nl.set_dff_input(ff, nl.add_xor(ff, one));
+  nl.add_output(ff, "q");
+  BitSimulator sim(nl);
+  bool expected = false;  // state starts at zero
+  for (int cycle = 0; cycle < 6; ++cycle) {
+    sim.eval();
+    EXPECT_EQ(sim.output(0), expected ? kAll : 0) << cycle;
+    sim.step();
+    expected = !expected;
+  }
+}
+
+TEST(BitSim, ResetClearsState) {
+  Netlist nl;
+  const auto one = nl.add_constant(true);
+  const auto ff = nl.add_dff(one);
+  nl.add_output(ff, "q");
+  BitSimulator sim(nl);
+  sim.eval();
+  sim.step();
+  sim.eval();
+  EXPECT_EQ(sim.output(0), kAll);
+  sim.reset();
+  sim.eval();
+  EXPECT_EQ(sim.output(0), 0u);
+}
+
+TEST(BitSim, TwoBitRippleCounter) {
+  Netlist nl;
+  const auto q0 = nl.add_dff(NodeId{});
+  const auto q1 = nl.add_dff(NodeId{});
+  const auto one = nl.add_constant(true);
+  nl.set_dff_input(q0, nl.add_xor(q0, one));
+  nl.set_dff_input(q1, nl.add_xor(q1, q0));
+  nl.add_output(q0, "b0");
+  nl.add_output(q1, "b1");
+  BitSimulator sim(nl);
+  // Lanes count independently: lane k starts from state k & 3.
+  sim.set_state(0, 0xAAAAAAAAAAAAAAAAULL);
+  sim.set_state(1, 0xCCCCCCCCCCCCCCCCULL);
+  for (int t = 0; t < 8; ++t) {
+    sim.eval();
+    for (int lane = 0; lane < 4; ++lane) {
+      const int count = (lane + t) & 3;
+      EXPECT_EQ((sim.output(0) >> lane) & 1, static_cast<std::uint64_t>(count & 1)) << t;
+      EXPECT_EQ((sim.output(1) >> lane) & 1, static_cast<std::uint64_t>(count >> 1)) << t;
+    }
+    sim.step();
+  }
 }
 
 TEST(Exhaustive, AdderStylesProvablyEquivalent) {

@@ -300,15 +300,6 @@ TEST(OpenMetrics, HistogramBucketsAreCumulative) {
   EXPECT_NE(text.find("le=\"4\"} 2"), std::string::npos);
 }
 
-TEST(OpenMetrics, RegisterServeGaugesExposesDaemonFamilies) {
-  ObsContext ctx(false, true);
-  register_serve_gauges(ctx.metrics());
-  const std::string text = openmetrics_text(ctx.report());
-  EXPECT_NE(text.find("# TYPE vpga_serve_queue_depth gauge"), std::string::npos);
-  EXPECT_NE(text.find("vpga_serve_queue_depth 0"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE vpga_serve_cache_hit_rate gauge"), std::string::npos);
-}
-
 // --- Disabled-path overhead -------------------------------------------------
 
 TEST(Overhead, DisabledInstrumentationDoesNotAllocate) {

@@ -15,6 +15,7 @@
 #include "core/vias.hpp"
 #include "designs/designs.hpp"
 #include "flow/flow.hpp"
+#include "obs/obs.hpp"
 #include "pack/packer.hpp"
 #include "place/placement.hpp"
 #include "synth/mapper.hpp"
@@ -379,29 +380,13 @@ TEST(StageChecks, OverBudgetTileFiresViaBudget) {
   for (auto& c : tiny.component_count) c = 0;
   tiny.component_count[static_cast<std::size_t>(core::PlbComponent::kMux)] = 1;
   ASSERT_EQ(core::potential_via_sites(tiny), 40);
+  obs::ObsContext ctx(false, true);
+  const obs::ScopedObs bind(&ctx);
   VerifyReport r;
   check_post_route(s.compacted, s.packed, tiny, "post-route", r);
   expect_fired(r, "route.via-budget");
-}
-
-TEST(StageChecks, ViaTallyCountsChecksAndOverruns) {
-  PackedStage s;
-  const auto before = via_tally();
-  VerifyReport ok;
-  check_post_route(s.compacted, s.packed, s.arch, "post-route", ok);
-  for (NodeId id : s.compacted.all_nodes()) {
-    const auto& n = s.compacted.node(id);
-    if (n.type == NodeType::kDff || (n.type == NodeType::kComb && n.has_config()))
-      s.packed.tile_of_node[id.index()] = 0;
-  }
-  auto tiny = s.arch;
-  for (auto& c : tiny.component_count) c = 0;
-  tiny.component_count[static_cast<std::size_t>(core::PlbComponent::kMux)] = 1;
-  VerifyReport bad;
-  check_post_route(s.compacted, s.packed, tiny, "post-route", bad);
-  const auto after = via_tally();
-  EXPECT_EQ(after.checks, before.checks + 2);
-  EXPECT_GT(after.overruns, before.overruns);
+  // The run's overrun counter carries one count per over-budget tile.
+  EXPECT_EQ(ctx.report().counter("verify.via_budget.overruns"), r.error_count());
 }
 
 TEST(StageChecks, FlowVerifierRoutesViaBudgetThroughPostRouteStage) {
