@@ -260,11 +260,11 @@ TEST(Cec, StateDivergenceIsCaughtWithStateWitness) {
   EXPECT_TRUE(cex_witnesses_diff(golden, mutated, *rep.cex));
 }
 
-TEST(Cec, NpnPrefilterRejectsSmallCones) {
-  // AND vs XOR are in different NPN classes, so the table tier refutes via
-  // the canonical-form pre-filter before scanning rows.
-  Netlist a("npn_a");
-  Netlist b("npn_b");
+TEST(Cec, SmallConeRefutationPinsFirstDifferingRow) {
+  // AND vs XOR over two leaves: assignments are scanned in row order (bit j =
+  // merged leaf j), so the witness is the first differing row, x=1 y=0.
+  Netlist a("small_a");
+  Netlist b("small_b");
   {
     const NodeId x = a.add_input("x");
     const NodeId y = a.add_input("y");
@@ -277,8 +277,44 @@ TEST(Cec, NpnPrefilterRejectsSmallCones) {
   }
   const CecReport rep = check_combinational_equivalence(a, b);
   EXPECT_FALSE(rep.equivalent);
-  EXPECT_EQ(rep.npn_rejects, 1);
+  EXPECT_EQ(rep.tier_table, 1);
   ASSERT_TRUE(rep.cex.has_value());
+  EXPECT_EQ(rep.cex->inputs, (std::vector<std::uint8_t>{1, 0}));
+  EXPECT_TRUE(cex_witnesses_diff(a, b, *rep.cex));
+}
+
+TEST(Cec, WideConeRefutationPinsFirstDifferingRow) {
+  // A 10-leaf AND tree with its (x6, x7) gate flipped to OR: the two cones
+  // differ exactly when every other leaf is 1 and one of x6/x7 is. Rows with
+  // x6=1 x7=0 come first, so the witness drives both the 64-lane word
+  // (leaves 0..5) and the block bits (leaves 6..9).
+  const Netlist golden = make_and_tree(10);
+  const Netlist mutated = make_and_tree(10, /*mutate_at=*/3);
+  const CecReport rep = check_combinational_equivalence(golden, mutated);
+  EXPECT_FALSE(rep.equivalent);
+  EXPECT_EQ(rep.tier_exhaustive, 1);
+  ASSERT_TRUE(rep.cex.has_value());
+  EXPECT_EQ(rep.cex->inputs, (std::vector<std::uint8_t>{1, 1, 1, 1, 1, 1, 1, 0, 1, 1}));
+  EXPECT_TRUE(cex_witnesses_diff(golden, mutated, *rep.cex));
+}
+
+TEST(Cec, ConstantConeRefutationPinsAllZeroWitness) {
+  // Constant 0 vs constant 1 has an empty support: the only row is row 0,
+  // and every interface input of the witness stays 0.
+  Netlist a("const_a");
+  Netlist b("const_b");
+  for (Netlist* nl : {&a, &b}) {
+    nl->add_input("x");
+    nl->add_input("y");
+  }
+  a.add_output(a.add_constant(false), "z");
+  b.add_output(b.add_constant(true), "z");
+  const CecReport rep = check_combinational_equivalence(a, b);
+  EXPECT_FALSE(rep.equivalent);
+  EXPECT_EQ(rep.tier_table, 1);
+  ASSERT_TRUE(rep.cex.has_value());
+  EXPECT_EQ(rep.cex->inputs, (std::vector<std::uint8_t>{0, 0}));
+  EXPECT_EQ(rep.cex->point, "z");
   EXPECT_TRUE(cex_witnesses_diff(a, b, *rep.cex));
 }
 
