@@ -76,14 +76,18 @@ BENCHMARK(BM_Compact)->Arg(8)->Arg(32);
 // The exact-equivalence kernel: per-output miter proofs of a tech-mapped
 // ripple adder against its golden generator netlist.
 //   0: cheap-first tier ladder as shipped (every cone retires exhaustively)
-//   1: SAT-only — the exhaustive tier is disabled, so every cone that
-//      survives hashing and small truth tables goes to the CDCL miter
+//   1: SAT-only — the exhaustive and BDD tiers are disabled, so every cone
+//      that survives structural hashing, however small, goes to the CDCL
+//      miter
 void BM_CecMiter(benchmark::State& state) {
   const auto nl = designs::make_ripple_adder(12);
   const auto target = synth::cell_target(core::PlbArchitecture::granular());
   const auto mapped = synth::tech_map(nl, target, synth::Objective::kDelay);
   verify::CecOptions opts;
-  if (state.range(0) == 1) opts.max_exhaustive_inputs = 0;
+  if (state.range(0) == 1) {
+    opts.max_exhaustive_inputs = 0;
+    opts.bdd_tier = false;
+  }
   for (auto _ : state) {
     verify::VerifyReport report;
     verify::check_cec(nl, mapped.netlist, "bench", report, opts);

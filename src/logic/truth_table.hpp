@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "common/assert.hpp"
@@ -150,27 +149,6 @@ class TruthTable {
   std::uint8_t nvars_ = 0;
   std::uint64_t bits_ = 0;
 };
-
-/// Functional composition: f applied to argument functions that all share one
-/// variable space. `args.size()` must equal `f.num_vars()`, each argument must
-/// have the same arity, and the result has that shared arity:
-/// result(x) = f(args[0](x), ..., args[k-1](x)). This is the truth-table
-/// bridge the exact-equivalence checker uses to collapse an extracted cone
-/// into a single table over the cone's support.
-inline TruthTable compose(const TruthTable& f, std::span<const TruthTable> args) {
-  VPGA_ASSERT(static_cast<int>(args.size()) == f.num_vars());
-  const int out_vars = args.empty() ? 0 : args[0].num_vars();
-  std::uint64_t bits = 0;
-  for (int r = 0; r < (1 << out_vars); ++r) {
-    unsigned idx = 0;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      VPGA_ASSERT(args[i].num_vars() == out_vars);
-      idx |= static_cast<unsigned>(args[i].eval(static_cast<unsigned>(r))) << i;
-    }
-    if (f.eval(idx)) bits |= std::uint64_t{1} << r;
-  }
-  return TruthTable(out_vars, bits);
-}
 
 /// Common 3-variable functions used throughout the architecture analysis.
 /// Variable order convention: x0 = a, x1 = b, x2 = c (or the select s).

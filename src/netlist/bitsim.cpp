@@ -1,6 +1,7 @@
 #include "netlist/bitsim.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/assert.hpp"
 
@@ -71,34 +72,48 @@ std::uint64_t BitSimulator::next_state(std::size_t d) const {
   return values_[din.index()];
 }
 
-bool exhaustive_equivalent(const Netlist& a, const Netlist& b, int max_inputs) {
+std::optional<std::uint64_t> exhaustive_mismatch(const Netlist& a, const Netlist& b) {
   VPGA_ASSERT_MSG(a.dffs().empty() && b.dffs().empty(),
-                  "exhaustive_equivalent is combinational-only");
-  if (a.inputs().size() != b.inputs().size()) return false;
-  if (a.outputs().size() != b.outputs().size()) return false;
+                  "exhaustive_mismatch is combinational-only");
+  VPGA_ASSERT(a.inputs().size() == b.inputs().size());
+  VPGA_ASSERT(a.outputs().size() == b.outputs().size());
   const int n = static_cast<int>(a.inputs().size());
-  if (n > max_inputs) return false;
+  VPGA_ASSERT(n < 64);
 
   BitSimulator sa(a), sb(b);
-  // Inputs 0..5 cycle within one 64-pattern word; inputs >= 6 come from the
-  // block index, so one eval covers 64 assignments.
+  // Inputs 0..5 cycle within one 64-pattern word (lane t holds bit i of t);
+  // inputs >= 6 come from the block index, so one eval covers rows
+  // blk * 64 .. blk * 64 + 63 and the first differing lane is the first
+  // differing row. With n < 6 the word repeats every 2^n lanes, so that lane
+  // is below 2^n.
   static constexpr std::uint64_t kLane[6] = {
       0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
       0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
+  for (int i = 0; i < std::min(n, 6); ++i) {
+    sa.set_input(static_cast<std::size_t>(i), kLane[i]);
+    sb.set_input(static_cast<std::size_t>(i), kLane[i]);
+  }
   const std::uint64_t blocks = n > 6 ? (std::uint64_t{1} << (n - 6)) : 1;
   for (std::uint64_t blk = 0; blk < blocks; ++blk) {
-    for (int i = 0; i < n; ++i) {
-      const std::uint64_t w =
-          i < 6 ? kLane[i] : ((blk >> (i - 6)) & 1 ? ~std::uint64_t{0} : 0);
+    for (int i = 6; i < n; ++i) {
+      const std::uint64_t w = ((blk >> (i - 6)) & 1) != 0 ? ~std::uint64_t{0} : 0;
       sa.set_input(static_cast<std::size_t>(i), w);
       sb.set_input(static_cast<std::size_t>(i), w);
     }
     sa.eval();
     sb.eval();
-    for (std::size_t o = 0; o < a.outputs().size(); ++o)
-      if (sa.output(o) != sb.output(o)) return false;
+    std::uint64_t diff = 0;
+    for (std::size_t o = 0; o < a.outputs().size(); ++o) diff |= sa.output(o) ^ sb.output(o);
+    if (diff != 0) return blk * 64 + static_cast<std::uint64_t>(std::countr_zero(diff));
   }
-  return true;
+  return std::nullopt;
+}
+
+bool exhaustive_equivalent(const Netlist& a, const Netlist& b, int max_inputs) {
+  if (a.inputs().size() != b.inputs().size()) return false;
+  if (a.outputs().size() != b.outputs().size()) return false;
+  if (static_cast<int>(a.inputs().size()) > max_inputs) return false;
+  return !exhaustive_mismatch(a, b).has_value();
 }
 
 }  // namespace vpga::netlist

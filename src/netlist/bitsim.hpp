@@ -9,10 +9,12 @@
 /// turning the synthesis pipeline's equivalence tests from sampling into
 /// proof for adder/mux-sized cones. This is the project's only netlist
 /// simulator: random co-simulation (verify/equiv), power activity
-/// (timing/power) and CEC's bitsim tier all run on it. A scalar simulation is
-/// one lane of it: broadcast each input bit to the whole word and read bit 0.
+/// (timing/power) and CEC's exhaustive tier all run on it. A scalar
+/// simulation is one lane of it: broadcast each input bit to the whole word
+/// and read bit 0.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -50,10 +52,17 @@ class BitSimulator {
   std::vector<std::uint64_t> state_;  // per-DFF (indexed like nl.dffs())
 };
 
-/// Exhaustively proves combinational equivalence of two netlists with the
-/// same PI/PO interface and no registers. Requires #inputs <= max_inputs
-/// (cost 2^n / 64 evaluations); returns false on any mismatch or interface
-/// difference. Asserts if either netlist has registers.
+/// The one exhaustive sweep: evaluates two registerless netlists with the
+/// same PI/PO interface on all 2^n input assignments, 64 per eval, and
+/// returns the first row (bit j = input j) on which any output differs, or
+/// nullopt when every row agrees. Cost 2^n / 64 evaluations; asserts on
+/// registers, an interface difference or n >= 64.
+[[nodiscard]] std::optional<std::uint64_t> exhaustive_mismatch(const Netlist& a,
+                                                               const Netlist& b);
+
+/// Exhaustively proves combinational equivalence of two registerless
+/// netlists: exhaustive_mismatch behind an interface check. Returns false on
+/// a PI/PO count difference, more than max_inputs inputs, or any mismatch.
 bool exhaustive_equivalent(const Netlist& a, const Netlist& b, int max_inputs = 22);
 
 }  // namespace vpga::netlist

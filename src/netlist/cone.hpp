@@ -10,8 +10,8 @@
 /// space, not NodeId space, so supports are directly comparable between the
 /// golden and revised netlists of a miter. `extract_cone` then materializes
 /// the cone as a tiny standalone netlist whose primary inputs are the given
-/// support in [inputs..., states...] order, which is what the truth-table and
-/// exhaustive-simulation tiers consume.
+/// support in [inputs..., states...] order, which is what the exhaustive
+/// tier (netlist::exhaustive_mismatch) and the BDD tier consume.
 
 #include <cstdint>
 #include <vector>

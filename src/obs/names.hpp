@@ -45,7 +45,7 @@ inline constexpr std::array<std::string_view, 52> kMetricNames = {
     "sta.analyses", "sta.arrival_propagations",
     "verify.checks", "verify.findings", "verify.errors", "verify.equiv.vectors",
     "verify.via_budget.overruns",
-    "cec.points", "cec.npn_rejects", "cec.sweep_merges", "cec.unknown",
+    "cec.points", "cec.sweep_merges", "cec.unknown",
     "cec.cache_hits",
     "cec.tier_resolved.structural", "cec.tier_resolved.truth", "cec.tier_resolved.bitsim",
     "cec.tier_resolved.bdd", "cec.tier_resolved.sat",

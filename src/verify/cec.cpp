@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
@@ -13,7 +12,6 @@
 #include "common/assert.hpp"
 #include "common/fnmap.hpp"
 #include "common/rng.hpp"
-#include "logic/npn.hpp"
 #include "netlist/bitsim.hpp"
 #include "netlist/cone.hpp"
 #include "obs/obs.hpp"
@@ -28,41 +26,6 @@ using netlist::Netlist;
 using netlist::Node;
 using netlist::NodeId;
 using netlist::NodeType;
-
-/// 64-pattern word with bit t = (t >> i) & 1 — the i-th exhaustive lane.
-std::uint64_t lane_word(int i) {
-  std::uint64_t w = 0;
-  for (int t = 0; t < 64; ++t) {
-    if (((t >> i) & 1) != 0) w |= std::uint64_t{1} << t;
-  }
-  return w;
-}
-
-/// Collapses a cone extract (pure combinational, <= 6 inputs, one output)
-/// into a single truth table over its input order.
-logic::TruthTable cone_table(const Netlist& cone, int num_vars,
-                             std::vector<logic::TruthTable>& tts,
-                             std::vector<logic::TruthTable>& args) {
-  tts.assign(cone.num_nodes(), logic::TruthTable());
-  args.reserve(6);  // netlist gate arity ceiling
-  for (std::size_t j = 0; j < cone.inputs().size(); ++j) {
-    tts[cone.inputs()[j].index()] = logic::TruthTable::var(num_vars, static_cast<int>(j));
-  }
-  for (const NodeId id : cone.all_nodes()) {
-    const Node& n = cone.node(id);
-    if (n.type == NodeType::kConst) {
-      tts[id.index()] = logic::TruthTable::constant(num_vars, n.func.eval(0));
-    }
-  }
-  for (const NodeId id : cone.topo_order()) {
-    const Node& n = cone.node(id);
-    if (n.type != NodeType::kComb) continue;
-    args.clear();
-    for (const NodeId fi : cone.fanins(id)) args.push_back(tts[fi.index()]);
-    tts[id.index()] = logic::compose(n.func, args);
-  }
-  return tts[cone.fanin(cone.outputs()[0], 0).index()];
-}
 
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -294,11 +257,8 @@ class PointChecker {
   PointChecker(const Netlist& golden, const Netlist& revised,
                const RegisterCorrespondence& corr, const CecOptions& opts, CecReport& report)
       : golden_(golden), revised_(revised), corr_(corr), opts_(opts), report_(report) {
-    for (int i = 0; i < 6; ++i) lanes_[i] = lane_word(i);
-    if (opts_.structural_tier) {
-      side_signatures(golden_, sig_[0], {});
-      side_signatures(revised_, sig_[1], corr_.inv);
-    }
+    side_signatures(golden_, sig_[0], {});
+    side_signatures(revised_, sig_[1], corr_.inv);
   }
 
   /// Checks output `idx` (is_state == false) or golden DFF D-function `idx`
@@ -311,8 +271,7 @@ class PointChecker {
     const NodeId rb = is_state ? revised_.fanin(revised_.dffs()[corr_.perm[idx]], 0)
                                : revised_.fanin(revised_.outputs()[idx], 0);
 
-    if (opts_.structural_tier && !opts_.force_bdd &&
-        sig_[0][ga.index()] == sig_[1][rb.index()]) {
+    if (!opts_.force_bdd && sig_[0][ga.index()] == sig_[1][rb.index()]) {
       ++report_.tier_struct;
       return true;
     }
@@ -344,8 +303,7 @@ class PointChecker {
       if (resolved) return scan;
       return check_by_sat(idx, is_state, ga, rb);
     }
-    if (m <= logic::TruthTable::kMaxVars) return check_by_table(idx, is_state, ga, rb, m);
-    if (m <= opts_.max_exhaustive_inputs) return check_by_sweep(idx, is_state, ga, rb, m);
+    if (m <= opts_.max_exhaustive_inputs) return check_exhaustive(idx, is_state, ga, rb, m);
     if (opts_.bdd_tier) {
       bool resolved = false;
       const bool scan = check_by_bdd(idx, is_state, ga, rb, m, resolved);
@@ -360,65 +318,20 @@ class PointChecker {
   }
 
  private:
-  /// Tier 2: collapse both cones over the merged support and compare tables,
-  /// with the NPN canonical table as the <= 4-var inequivalence pre-filter.
-  bool check_by_table(std::size_t idx, bool is_state, NodeId ga, NodeId rb, int m) {
-    const Netlist ca = extract_cone(golden_, ga, merged_);
-    const Netlist cb = extract_cone(revised_, rb, merged_rev_);
-    const logic::TruthTable ta = cone_table(ca, m, tts_, args_);
-    const logic::TruthTable tb = cone_table(cb, m, tts_, args_);
-    bool npn_reject = false;
-    if (m <= 4) {
-      const auto a4 = static_cast<std::uint16_t>(ta.extend(4).bits());
-      const auto b4 = static_cast<std::uint16_t>(tb.extend(4).bits());
-      npn_reject = logic::npn_canonical4(a4) != logic::npn_canonical4(b4);
-      if (npn_reject) ++report_.npn_rejects;
-    }
-    if (!npn_reject && ta == tb) {
-      ++report_.tier_table;
-      return true;
-    }
-    // Inequivalent: the first differing row is the counterexample.
-    unsigned row = 0;
-    while (ta.eval(row) == tb.eval(row)) ++row;
-    ++report_.tier_table;
-    record_cex_from_row(idx, is_state, row, 0);
+  /// Tier 2: every assignment of the merged support is swept through both
+  /// cones; the first differing row is the counterexample.
+  bool check_exhaustive(std::size_t idx, bool is_state, NodeId ga, NodeId rb, int m) {
+    const std::optional<std::uint64_t> row =
+        netlist::exhaustive_mismatch(extract_cone(golden_, ga, merged_),
+                                     extract_cone(revised_, rb, merged_rev_));
+    // A support of <= 6 leaves fits one 64-lane word: the truth-table count.
+    ++(m <= logic::TruthTable::kMaxVars ? report_.tier_table : report_.tier_exhaustive);
+    if (!row) return true;
+    record_cex_from_row(idx, is_state, *row);
     return false;
   }
 
-  /// Tier 3: exhaustive 64-way sweep over the merged support (7..16 leaves).
-  bool check_by_sweep(std::size_t idx, bool is_state, NodeId ga, NodeId rb, int m) {
-    VPGA_ASSERT(m > 6 && m <= 16);
-    const Netlist ca = extract_cone(golden_, ga, merged_);
-    const Netlist cb = extract_cone(revised_, rb, merged_rev_);
-    BitSimulator sa(ca);
-    BitSimulator sb(cb);
-    for (int i = 0; i < 6; ++i) {
-      sa.set_input(static_cast<std::size_t>(i), lanes_[i]);
-      sb.set_input(static_cast<std::size_t>(i), lanes_[i]);
-    }
-    const std::uint32_t blocks = std::uint32_t{1} << (m - 6);
-    for (std::uint32_t block = 0; block < blocks; ++block) {
-      for (int i = 6; i < m; ++i) {
-        const std::uint64_t w = ((block >> (i - 6)) & 1u) != 0 ? ~std::uint64_t{0} : 0;
-        sa.set_input(static_cast<std::size_t>(i), w);
-        sb.set_input(static_cast<std::size_t>(i), w);
-      }
-      sa.eval();
-      sb.eval();
-      const std::uint64_t diff = sa.output(0) ^ sb.output(0);
-      if (diff != 0) {
-        ++report_.tier_exhaustive;
-        record_cex_from_row(idx, is_state,
-                            static_cast<unsigned>(std::countr_zero(diff)), block);
-        return false;
-      }
-    }
-    ++report_.tier_exhaustive;
-    return true;
-  }
-
-  /// Tier 4: both cones become ROBDDs in one manager under a shared
+  /// Tier 3: both cones become ROBDDs in one manager under a shared
   /// DFS-derived variable order, so the verdict is a root-edge compare and a
   /// refutation is one satisfying path of the XOR of the roots. Sets
   /// `resolved` false when the node budget ran out — the point then falls
@@ -538,7 +451,7 @@ class PointChecker {
     return mgr.ite(args[k - 1], hi, lo);
   }
 
-  /// Tier 5: per-point miter under a selector assumption on the shared
+  /// Tier 4: per-point miter under a selector assumption on the shared
   /// incremental solver.
   bool check_by_sat(std::size_t idx, bool is_state, NodeId ga, NodeId rb) {
     if (!solver_) {
@@ -677,13 +590,12 @@ class PointChecker {
     ++report_.sweep_merges;
   }
 
-  /// Expands a merged-support row (low 6 bits in `row`, leaves >= 6 in
-  /// `block`) into a full-interface counterexample and stores it.
-  void record_cex_from_row(std::size_t idx, bool is_state, unsigned row, std::uint32_t block) {
+  /// Expands a merged-support row (bit j = leaf j) into a full-interface
+  /// counterexample and stores it.
+  void record_cex_from_row(std::size_t idx, bool is_state, std::uint64_t row) {
     leaf_vals_.assign(merged_.num_leaves(), 0);
     for (std::size_t j = 0; j < merged_.num_leaves(); ++j) {
-      leaf_vals_[j] = j < 6 ? static_cast<std::uint8_t>((row >> j) & 1u)
-                            : static_cast<std::uint8_t>((block >> (j - 6)) & 1u);
+      leaf_vals_[j] = static_cast<std::uint8_t>((row >> j) & 1u);
     }
     record_cex_from_leaves(idx, is_state, leaf_vals_);
   }
@@ -790,7 +702,6 @@ class PointChecker {
   const RegisterCorrespondence& corr_;
   const CecOptions& opts_;
   CecReport& report_;
-  std::uint64_t lanes_[6] = {};
   common::FnKeyMap sigmap_;
   std::vector<std::uint32_t> sig_[2];
   common::FnKeyMap sweepmap_;
@@ -798,8 +709,6 @@ class PointChecker {
   std::vector<std::uint64_t> sweep_sig_[2];
   ConeSupport merged_;
   ConeSupport merged_rev_;  ///< merged support in the revised index space
-  std::vector<logic::TruthTable> tts_;
-  std::vector<logic::TruthTable> args_;
   // BDD-tier scratch, hoisted like the rest of the per-point loop state.
   std::vector<std::uint32_t> bdd_level_;
   std::vector<std::uint32_t> bdd_leaf_of_;
@@ -920,16 +829,9 @@ CecReport check_combinational_equivalence(const Netlist& golden, const Netlist& 
 void check_cec(const Netlist& golden, const Netlist& revised, const std::string& stage,
                VerifyReport& report, const CecOptions& opts) {
   const obs::Span span("verify.cec");
-  CecOptions eff = opts;
-  // CI's forced-BDD exact run flips the tier routing from the outside.
-  if (const char* force = std::getenv("VPGA_CEC_FORCE_BDD");
-      force != nullptr && force[0] != '\0' && force[0] != '0') {
-    eff.force_bdd = true;
-  }
-  const CecReport cec = check_combinational_equivalence(golden, revised, eff);
+  const CecReport cec = check_combinational_equivalence(golden, revised, opts);
 
   obs::count("cec.points", cec.checks);
-  obs::count("cec.npn_rejects", cec.npn_rejects);
   obs::count("cec.sweep_merges", cec.sweep_merges);
   obs::count("cec.unknown", cec.unknown);
   // The per-point tier-resolution family: one counter per ladder tier, so
@@ -988,7 +890,7 @@ void check_cec(const Netlist& golden, const Netlist& revised, const std::string&
   if (cec.unknown > 0) {
     report.add(Severity::kWarning, "cec.resource-limit", stage, NodeId(),
                std::to_string(cec.unknown) + " point(s) exhausted the SAT conflict budget (" +
-                   std::to_string(eff.sat_conflict_budget) + "), first: " +
+                   std::to_string(opts.sat_conflict_budget) + "), first: " +
                    cec.unknown_points.front());
   }
 }

@@ -9,18 +9,16 @@
 ///
 ///   1. structural: shared signature hashing across both netlists; identical
 ///      cones are equivalent without touching their function.
-///   2. truth table: cones whose union support fits 6 variables collapse to
-///      logic::TruthTable and compare directly, with the NPN canonical
-///      tables (<= 4 vars) as an O(1) inequivalence pre-filter.
-///   3. exhaustive: union support up to `max_exhaustive_inputs` is swept
-///      completely with the 64-way bit simulator (2^n / 64 evaluations).
-///   4. BDD: both cones are built as ROBDDs (bdd/bdd.hpp) in one manager
+///   2. exhaustive: union support up to `max_exhaustive_inputs` is swept
+///      completely by netlist::exhaustive_mismatch (2^n / 64 evaluations of
+///      the 64-way bit simulator); the first differing row is the witness.
+///   3. BDD: both cones are built as ROBDDs (bdd/bdd.hpp) in one manager
 ///      under a shared, DFS-derived variable order, so equivalence is a root
 ///      edge compare. A hard node budget bounds the tier; exhausting it falls
 ///      through to SAT instead of growing. This is the complete tier for
 ///      XOR-dominated cones (parity chains, carry trees) where CDCL clause
 ///      learning scales exponentially but BDDs stay linear.
-///   5. SAT: everything else becomes a per-point miter over one incremental
+///   4. SAT: everything else becomes a per-point miter over one incremental
 ///      CDCL solver (sat/solver.hpp) — selector assumptions retire solved
 ///      points while learned clauses carry over to the next. Before the first
 ///      miter, a SAT-sweeping pass simulates both netlists on shared
@@ -64,10 +62,8 @@
 namespace vpga::verify {
 
 struct CecOptions {
-  /// Run the structural-signature tier (disable to benchmark lower tiers).
-  bool structural_tier = true;
-  /// Union-support ceiling for the exhaustive bit-simulation tier; larger
-  /// cones go to SAT. 16 => at most 1024 64-wide evaluation sweeps per point.
+  /// Union-support ceiling for the exhaustive tier; larger cones go to BDD
+  /// and SAT. 16 => at most 1024 64-wide evaluation sweeps per point.
   int max_exhaustive_inputs = 16;
   /// Per-point SAT conflict budget; exhausting it yields cec.resource-limit
   /// (a warning) instead of an unbounded solve.
@@ -81,10 +77,9 @@ struct CecOptions {
   /// Per-point node budget for the BDD tier; exhausting it abandons the
   /// point's BDDs and falls through to SAT instead of growing without bound.
   std::uint32_t bdd_node_budget = 1u << 18;
-  /// Route every point straight to the BDD tier, bypassing the structural,
-  /// truth-table and exhaustive tiers (SAT remains the exhaustion fallback).
-  /// The CI forced-BDD exact run sets this via VPGA_CEC_FORCE_BDD=1, which
-  /// the check_cec wrapper honours.
+  /// Route every point straight to the BDD tier, bypassing the structural
+  /// and exhaustive tiers (SAT remains the exhaustion fallback). The CLI sets
+  /// it with --cec-force-bdd.
   bool force_bdd = false;
 };
 
@@ -105,11 +100,10 @@ struct CecReport {
   bool equivalent = true;
   int checks = 0;           ///< points compared
   int tier_struct = 0;      ///< settled by structural signatures
-  int tier_table = 0;       ///< settled by truth-table comparison
-  int tier_exhaustive = 0;  ///< settled by exhaustive bit simulation
+  int tier_table = 0;       ///< settled exhaustively over <= 6 leaves (one word)
+  int tier_exhaustive = 0;  ///< settled exhaustively over > 6 leaves
   int tier_bdd = 0;         ///< settled by ROBDD root comparison
   int tier_sat = 0;         ///< settled by the SAT miter
-  int npn_rejects = 0;      ///< inequivalences pre-filtered by NPN canon
   long long sweep_merges = 0;  ///< internal nodes proven equal by SAT sweeping
   int unknown = 0;          ///< points that exhausted the SAT budget
   std::vector<std::string> unknown_points;
