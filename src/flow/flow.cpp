@@ -1,7 +1,6 @@
 #include "flow/flow.hpp"
 
 #include <cmath>
-#include <thread>
 
 #include "common/assert.hpp"
 #include "obs/obs.hpp"
@@ -178,24 +177,10 @@ DesignComparison compare_architectures(const designs::BenchmarkDesign& design,
   DesignComparison c;
   const auto gran = core::PlbArchitecture::granular();
   const auto lut = core::PlbArchitecture::lut_based();
-  if (!opts.parallel_compare) {
-    c.granular_a = run_flow(design, gran, 'a', opts);
-    c.granular_b = run_flow(design, gran, 'b', opts);
-    c.lut_a = run_flow(design, lut, 'a', opts);
-    c.lut_b = run_flow(design, lut, 'b', opts);
-    return c;
-  }
-  // The four runs share only immutable inputs (design, architectures, opts);
-  // each run_flow binds a fresh thread-local ObsContext, so traces and
-  // metrics never interleave and the reports match the serial path exactly.
-  std::thread tga([&] { c.granular_a = run_flow(design, gran, 'a', opts); });
-  std::thread tgb([&] { c.granular_b = run_flow(design, gran, 'b', opts); });
-  std::thread tla([&] { c.lut_a = run_flow(design, lut, 'a', opts); });
-  std::thread tlb([&] { c.lut_b = run_flow(design, lut, 'b', opts); });
-  tga.join();
-  tgb.join();
-  tla.join();
-  tlb.join();
+  c.granular_a = run_flow(design, gran, 'a', opts);
+  c.granular_b = run_flow(design, gran, 'b', opts);
+  c.lut_a = run_flow(design, lut, 'a', opts);
+  c.lut_b = run_flow(design, lut, 'b', opts);
   return c;
 }
 

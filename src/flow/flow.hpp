@@ -53,10 +53,6 @@ struct FlowOptions {
   /// zero overhead beyond one thread-local load per allocation, and the
   /// flow result is byte-identical either way (tests/test_determinism.cpp).
   bool memtrack = false;
-  /// Run compare_architectures' four flows on four threads. Each run binds
-  /// its own ObsContext, so traces/metrics stay per-run; results are
-  /// deterministic and identical to the serial path.
-  bool parallel_compare = false;
 };
 
 struct FlowReport {

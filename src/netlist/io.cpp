@@ -1,7 +1,10 @@
 #include "netlist/io.hpp"
 
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "common/assert.hpp"
 
@@ -19,6 +22,14 @@ bool parse_cell(const std::string& s, library::CellKind& out) {
     }
   }
   return false;
+}
+
+/// Parses all of `text` as a decimal integer no larger than `max`; a sign,
+/// trailing characters or an out-of-range value fail.
+bool parse_decimal(std::string_view text, std::uint64_t max, std::uint64_t& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end && out <= max;
 }
 
 }  // namespace
@@ -89,6 +100,9 @@ ParseResult read_netlist(std::istream& is) {
   // Deferred fixups: DFF D-pins may reference later nodes.
   std::vector<std::pair<NodeId, std::uint32_t>> dff_fixups;
   dff_fixups.reserve(64);
+  // Deferred range checks: a macro representative may be a later node.
+  // (line number, macro id)
+  std::vector<std::pair<int, std::uint64_t>> macro_refs;
   // Scratch reused across node lines (fanin lists are tiny but frequent).
   std::vector<NodeId> fanins;
   fanins.reserve(logic::TruthTable::kMaxVars);
@@ -165,9 +179,17 @@ ParseResult read_netlist(std::istream& is) {
           if (!parse_cell(attr.substr(5), k)) return fail("unknown cell '" + attr + "'");
           nl.node(c).cell = k;
         } else if (attr.rfind("config=", 0) == 0) {
-          nl.node(c).config_tag = static_cast<std::uint8_t>(std::stoi(attr.substr(7)));
+          std::uint64_t tag = 0;
+          if (!parse_decimal(std::string_view(attr).substr(7), 255, tag))
+            return fail("'" + attr + "' is not a config tag in 0..255");
+          nl.node(c).config_tag = static_cast<std::uint8_t>(tag);
         } else if (attr.rfind("macro=", 0) == 0) {
-          nl.node(c).macro_rep = NodeId(static_cast<std::uint32_t>(std::stoul(attr.substr(6))));
+          std::uint64_t rep = 0;
+          if (!parse_decimal(std::string_view(attr).substr(6),
+                             std::numeric_limits<std::uint32_t>::max(), rep))
+            return fail("'" + attr + "' is not a node of the netlist");
+          nl.node(c).macro_rep = NodeId(static_cast<std::uint32_t>(rep));
+          macro_refs.emplace_back(lineno, rep);
         } else if (attr.rfind("name=", 0) == 0) {
           nl.set_name(c, attr.substr(5));
         } else {
@@ -183,6 +205,12 @@ ParseResult read_netlist(std::istream& is) {
   for (const auto& [ff, d] : dff_fixups) {
     if (d >= nl.num_nodes()) return fail("dff D id out of range");
     nl.set_dff_input(ff, NodeId(d));
+  }
+  for (const auto& [at, rep] : macro_refs) {
+    if (rep >= nl.num_nodes()) {
+      lineno = at;
+      return fail("'macro=" + std::to_string(rep) + "' is not a node of the netlist");
+    }
   }
   const auto check = nl.check();
   if (!check.ok) return fail("netlist check failed: " + check.message);

@@ -265,4 +265,26 @@ std::string format_double(double v) {
   return buf;
 }
 
+void append_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char ch : s) {
+    switch (ch) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(ch) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
+          out += buf;
+        } else {
+          out += ch;
+        }
+    }
+  }
+  out += '"';
+}
+
 }  // namespace vpga::obs::json

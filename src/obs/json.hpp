@@ -47,4 +47,8 @@ bool parse(std::string_view text, Value& out, std::string* error = nullptr);
 /// values (JSON has no literals for them) clamp to "0".
 std::string format_double(double v);
 
+/// Appends `s` to `out` as a JSON string literal: quoted, with quotes,
+/// backslashes and control characters escaped, so parse() reads back `s`.
+void append_string(std::string& out, std::string_view s);
+
 }  // namespace vpga::obs::json

@@ -33,7 +33,7 @@ inline constexpr std::array<std::string_view, 22> kSpanNames = {
 /// `flow.alloc_*` are the run-wide memtrack totals (per-span totals are the
 /// dynamic "<span>.alloc_bytes" family, exempt by construction like every
 /// concatenated name).
-inline constexpr std::array<std::string_view, 52> kMetricNames = {
+inline constexpr std::array<std::string_view, 47> kMetricNames = {
     "map.cuts_enumerated", "map.dp_rounds", "map.nodes_emitted",
     "compact.cover_rounds",
     "pack.groups", "pack.grow_attempts", "pack.spiral_relocations", "pack.displacement_um",
@@ -50,8 +50,6 @@ inline constexpr std::array<std::string_view, 52> kMetricNames = {
     "cec.tier_resolved.structural", "cec.tier_resolved.truth", "cec.tier_resolved.bitsim",
     "cec.tier_resolved.bdd", "cec.tier_resolved.sat",
     "cec.bdd_nodes", "cec.bdd_ite_calls", "cec.bdd_cache_hits", "cec.bdd_fallbacks",
-    "cec.corr_classes", "cec.corr_rounds", "cec.corr_permuted", "cec.corr_fallbacks",
-    "cec.corr_unmatched",
     "sat.conflicts", "sat.decisions", "sat.propagations", "sat.restarts", "sat.learned",
 };
 

@@ -9,12 +9,10 @@ using netlist::Node;
 using netlist::NodeId;
 using netlist::NodeType;
 
-MiterEncoder::MiterEncoder(const Netlist& golden, const Netlist& revised, Solver& solver,
-                           std::span<const std::uint32_t> revised_state_map)
+MiterEncoder::MiterEncoder(const Netlist& golden, const Netlist& revised, Solver& solver)
     : solver_(solver) {
   VPGA_ASSERT(golden.inputs().size() == revised.inputs().size());
   VPGA_ASSERT(golden.dffs().size() == revised.dffs().size());
-  VPGA_ASSERT(revised_state_map.empty() || revised_state_map.size() == revised.dffs().size());
   sides_[0].nl = &golden;
   sides_[1].nl = &revised;
   sides_[0].lit_of.assign(golden.num_nodes(), kUnset);
@@ -29,18 +27,17 @@ MiterEncoder::MiterEncoder(const Netlist& golden, const Netlist& revised, Solver
   for (std::size_t i = 0; i < golden.dffs().size(); ++i) {
     state_lits_.push_back(Lit(solver_.new_var(), false));
   }
-  bind_leaves(sides_[0], {});
-  bind_leaves(sides_[1], revised_state_map);
+  bind_leaves(sides_[0]);
+  bind_leaves(sides_[1]);
 }
 
-void MiterEncoder::bind_leaves(SideState& ss, std::span<const std::uint32_t> state_map) {
+void MiterEncoder::bind_leaves(SideState& ss) {
   const Netlist& nl = *ss.nl;
   for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
     ss.lit_of[nl.inputs()[i].index()] = input_lits_[i].code();
   }
   for (std::size_t i = 0; i < nl.dffs().size(); ++i) {
-    const std::size_t leaf = state_map.empty() ? i : state_map[i];
-    ss.lit_of[nl.dffs()[i].index()] = state_lits_[leaf].code();
+    ss.lit_of[nl.dffs()[i].index()] = state_lits_[i].code();
   }
 }
 

@@ -3,22 +3,21 @@
 /// Tseitin encoding of netlist cones into a shared CNF miter.
 ///
 /// A MiterEncoder owns the variable spaces for one golden/revised netlist
-/// pair over one Solver. The two netlists share leaf variables — one SAT
-/// variable per primary-input index and one per DFF index (the Q pin's
-/// current value) — so encoding a driver from each side and constraining the
-/// two result literals to differ is exactly the per-output miter. Interior
-/// gates get Tseitin variables with full row clauses (arity <= 6, so at most
-/// 64 clauses per gate), after constant/buffer/inverter folding and
-/// structural hashing: two gates with the same function word and the same
-/// fanin literals — on either side — share one variable, which is what makes
-/// identical regions of the pre/post-stage netlists collapse before the
-/// solver ever sees them.
+/// pair over one Solver. The two netlists share leaf variables by interface
+/// position — one SAT variable per primary-input index and one per DFF index
+/// (the Q pin's current value) — so encoding a driver from each side and
+/// constraining the two result literals to differ is exactly the per-output
+/// miter. Interior gates get Tseitin variables with full row clauses
+/// (arity <= 6, so at most 64 clauses per gate), after constant/buffer/
+/// inverter folding and structural hashing: two gates with the same function
+/// word and the same fanin literals — on either side — share one variable,
+/// which is what makes identical regions of the pre/post-stage netlists
+/// collapse before the solver ever sees them.
 ///
 /// Variable allocation follows construction + encode order only, so CNFs,
 /// and therefore verdicts and models, are byte-stable across runs.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/fnmap.hpp"
@@ -32,13 +31,10 @@ class MiterEncoder {
   enum class Side : std::uint8_t { kGolden = 0, kRevised = 1 };
 
   /// Both netlists must agree on inputs().size() and dffs().size() (the CEC
-  /// interface check runs first and refuses mismatched pairs).
-  /// `revised_state_map`, when non-empty, gives the register correspondence:
-  /// revised DFF d shares the leaf variable of golden DFF
-  /// `revised_state_map[d]` instead of golden DFF d — how the CEC miters
-  /// netlists whose registers were reordered. Empty means positional.
-  MiterEncoder(const netlist::Netlist& golden, const netlist::Netlist& revised, Solver& solver,
-               std::span<const std::uint32_t> revised_state_map = {});
+  /// interface check runs first and refuses mismatched pairs). Input i and
+  /// DFF d of the revised netlist share the leaf variable of input i and DFF
+  /// d of the golden one.
+  MiterEncoder(const netlist::Netlist& golden, const netlist::Netlist& revised, Solver& solver);
 
   /// Encodes the cone rooted at `node` (a comb node, constant, input, or DFF
   /// — not an output shell) and returns the literal holding its value.
@@ -74,7 +70,7 @@ class MiterEncoder {
   };
   static constexpr std::uint32_t kUnset = 0xFFFFFFFFu;
 
-  void bind_leaves(SideState& ss, std::span<const std::uint32_t> state_map);
+  void bind_leaves(SideState& ss);
   Lit encode_comb(const netlist::Node& n, SideState& ss, netlist::NodeId id);
 
   Solver& solver_;

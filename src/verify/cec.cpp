@@ -1,7 +1,6 @@
 #include "verify/cec.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
@@ -14,6 +13,7 @@
 #include "common/rng.hpp"
 #include "netlist/bitsim.hpp"
 #include "netlist/cone.hpp"
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "sat/cnf.hpp"
 
@@ -27,248 +27,28 @@ using netlist::Node;
 using netlist::NodeId;
 using netlist::NodeType;
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-/// A register correspondence between the golden and revised DFF index
-/// spaces: perm maps golden index -> revised index, inv is its inverse.
-/// `kNone` marks a register with no partner; when any exist the
-/// correspondence is incomplete and no point comparison is well defined.
-struct RegisterCorrespondence {
-  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> perm;
-  std::vector<std::uint32_t> inv;
-  int classes = 0;
-  int rounds = 0;
-  int permuted = 0;
-  int fallbacks = 0;
-  std::vector<std::size_t> unmatched_golden;
-  std::vector<std::size_t> unmatched_revised;
-
-  [[nodiscard]] bool complete() const {
-    return unmatched_golden.empty() && unmatched_revised.empty();
-  }
-};
-
-/// Order-independent structural fingerprint of one D-cone: gate function
-/// words and arities (as a multiset), primary-input leaf indices (PIs
-/// correspond positionally, so their indices are shared currency) and leaf
-/// counts. State leaf *indices* are deliberately excluded — they are what
-/// the correspondence is solving for.
-std::uint64_t dcone_fingerprint(const Netlist& nl, NodeId droot) {
-  const ConeSupport sup = cone_support(nl, droot);
-  std::uint64_t h = mix64(0xF16E52ull + sup.states.size()) ^
-                    mix64((sup.comb_nodes << 16) + sup.inputs.size());
-  for (const std::uint32_t i : sup.inputs) h += mix64(0x1000000ull + i);
-  std::vector<std::uint8_t> visited(nl.num_nodes(), 0);
-  std::vector<NodeId> stack;
-  stack.reserve(sup.comb_nodes + 1);
-  stack.push_back(droot);
-  visited[droot.index()] = 1;
-  while (!stack.empty()) {
-    const NodeId id = stack.back();
-    stack.pop_back();
-    const Node& n = nl.node(id);
-    if (n.type != NodeType::kComb) continue;
-    h += mix64(n.func.bits() ^ (static_cast<std::uint64_t>(n.num_fanins()) << 56));
-    for (const NodeId fi : nl.fanins(id)) {
-      if (visited[fi.index()] == 0) {
-        visited[fi.index()] = 1;
-        stack.push_back(fi);
-      }
-    }
-  }
-  return h;
-}
-
-/// Signature-based register correspondence: partition-refine the registers of
-/// both netlists jointly — initial classes from structural D-cone
-/// fingerprints plus the set of outputs observing each register, then rounds
-/// of 256-pattern next-state simulation where every state leaf is driven by a
-/// deterministic word of its *class* (not its index), re-keying each register
-/// by (old class, signature, classes of its reader registers) until the
-/// partition is stable. The class-keyed stimulus propagates *controllability*
-/// forward; the reader-class term propagates *observability* backward — both
-/// are needed, because symmetric twins (two structurally identical timers)
-/// produce identical simulation signatures by construction and only who
-/// *reads* them tells them apart. Classes are side-independent, so pairing
-/// ascending within each class aligns reordered/renamed registers. Registers
-/// left unpaired fall back to their positional partner when that position is
-/// also unpaired (a genuinely diverged D function then refutes as
-/// cec.state-diverges with a witness); anything else is unmatched.
-RegisterCorrespondence match_registers(const Netlist& golden, const Netlist& revised) {
-  RegisterCorrespondence corr;
-  const std::size_t n = golden.dffs().size();
-  corr.perm.assign(n, RegisterCorrespondence::kNone);
-  corr.inv.assign(n, RegisterCorrespondence::kNone);
-  if (n == 0) return corr;
-  const Netlist* nets[2] = {&golden, &revised};
-
-  // Observability structure (per side): which outputs read register d
-  // (outputs correspond by index, so an order-independent hash of the output
-  // set is shared currency), and which registers read register d (as indices
-  // for now; their evolving classes feed every refinement round).
-  std::vector<std::uint64_t> obs[2];
-  std::vector<std::vector<std::uint32_t>> read_by[2];
-  for (int s = 0; s < 2; ++s) {
-    obs[s].assign(n, 0);
-    read_by[s].assign(n, {});
-    for (std::size_t o = 0; o < nets[s]->outputs().size(); ++o) {
-      const ConeSupport sup = cone_support(*nets[s], nets[s]->fanin(nets[s]->outputs()[o], 0));
-      for (const std::uint32_t d : sup.states) obs[s][d] += mix64(0x0B5E57ull + o);
-    }
-    for (std::size_t e = 0; e < n; ++e) {
-      const ConeSupport sup = cone_support(*nets[s], nets[s]->fanin(nets[s]->dffs()[e], 0));
-      for (const std::uint32_t d : sup.states) read_by[s][d].push_back(static_cast<std::uint32_t>(e));
-    }
-  }
-
-  // Round 0: classes from structural fingerprints + output observability,
-  // ids assigned by sorted key order so both sides agree on the numbering.
-  std::vector<std::uint64_t> fp[2];
-  std::vector<std::uint64_t> keys;
-  keys.reserve(2 * n);
-  for (int s = 0; s < 2; ++s) {
-    fp[s].reserve(n);
-    for (std::size_t d = 0; d < n; ++d) {
-      fp[s].push_back(dcone_fingerprint(*nets[s], nets[s]->fanin(nets[s]->dffs()[d], 0)) +
-                      obs[s][d]);
-    }
-    keys.insert(keys.end(), fp[s].begin(), fp[s].end());
-  }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  std::vector<std::uint32_t> cls[2];
-  for (int s = 0; s < 2; ++s) {
-    cls[s].resize(n);
-    for (std::size_t d = 0; d < n; ++d) {
-      cls[s][d] = static_cast<std::uint32_t>(
-          std::lower_bound(keys.begin(), keys.end(), fp[s][d]) - keys.begin());
-    }
-  }
-  std::size_t num_classes = keys.size();
-
-  // Shared primary-input stimulus (fixed seed: byte-stable correspondence).
-  constexpr int kWords = 4;  // 4 x 64 = 256 patterns per signature
-  common::Rng rng(0xC025E5F0ull);
-  const std::size_t ni = golden.inputs().size();
-  std::vector<std::uint64_t> in_words(ni * kWords);
-  for (auto& w : in_words) w = rng.next_u64();
-
-  struct RefineKey {
-    std::array<std::uint64_t, 6> t;  // (old class, 256-bit signature, readers)
-    std::uint32_t side_d;            // side << 31 | register index
-  };
-  std::vector<std::uint64_t> sig(2 * n * kWords);
-  std::vector<RefineKey> refine(2 * n);
-  for (int round = 1; round <= 64; ++round) {
-    corr.rounds = round;
-    for (int s = 0; s < 2; ++s) {
-      BitSimulator sim(*nets[s]);
-      for (int w = 0; w < kWords; ++w) {
-        for (std::size_t i = 0; i < ni; ++i) {
-          sim.set_input(i, in_words[static_cast<std::size_t>(w) * ni + i]);
-        }
-        for (std::size_t d = 0; d < n; ++d) {
-          sim.set_state(d, mix64(0xABCDull + (std::uint64_t{cls[s][d]} << 8) +
-                                 static_cast<std::uint64_t>(w)));
-        }
-        sim.eval();
-        for (std::size_t d = 0; d < n; ++d) {
-          sig[(static_cast<std::size_t>(s) * n + d) * kWords + static_cast<std::size_t>(w)] =
-              sim.next_state(d);
-        }
-      }
-    }
-    for (int s = 0; s < 2; ++s) {
-      for (std::size_t d = 0; d < n; ++d) {
-        RefineKey& k = refine[static_cast<std::size_t>(s) * n + d];
-        k.t[0] = cls[s][d];
-        for (int w = 0; w < kWords; ++w) {
-          k.t[static_cast<std::size_t>(w) + 1] =
-              sig[(static_cast<std::size_t>(s) * n + d) * kWords + static_cast<std::size_t>(w)];
-        }
-        // Backward observability: the multiset of classes reading this
-        // register (order-independent sum, refined as the partition splits).
-        std::uint64_t readers = 0;
-        for (const std::uint32_t e : read_by[s][d]) readers += mix64(0x4EADull + cls[s][e]);
-        k.t[5] = readers;
-        k.side_d = (static_cast<std::uint32_t>(s) << 31) | static_cast<std::uint32_t>(d);
-      }
-    }
-    std::sort(refine.begin(), refine.end(), [](const RefineKey& a, const RefineKey& b) {
-      return a.t != b.t ? a.t < b.t : a.side_d < b.side_d;
-    });
-    std::uint32_t next_id = 0;
-    for (std::size_t i = 0; i < refine.size(); ++i) {
-      if (i > 0 && refine[i].t != refine[i - 1].t) ++next_id;
-      const int s = static_cast<int>(refine[i].side_d >> 31);
-      cls[s][refine[i].side_d & 0x7FFFFFFFu] = next_id;
-    }
-    // The key carries the old class, so the partition only ever splits;
-    // an unchanged class count is the fixpoint.
-    if (static_cast<std::size_t>(next_id) + 1 == num_classes) break;
-    num_classes = static_cast<std::size_t>(next_id) + 1;
-  }
-  corr.classes = static_cast<int>(num_classes);
-
-  // Pair ascending within each class, then the positional fallback.
-  std::vector<std::vector<std::uint32_t>> members[2];
-  for (int s = 0; s < 2; ++s) {
-    members[s].resize(num_classes);
-    for (std::size_t d = 0; d < n; ++d) {
-      members[s][cls[s][d]].push_back(static_cast<std::uint32_t>(d));
-    }
-  }
-  for (std::size_t c = 0; c < num_classes; ++c) {
-    const auto& gm = members[0][c];
-    const auto& rm = members[1][c];
-    const std::size_t k = std::min(gm.size(), rm.size());
-    for (std::size_t i = 0; i < k; ++i) {
-      corr.perm[gm[i]] = rm[i];
-      corr.inv[rm[i]] = gm[i];
-    }
-  }
-  for (std::size_t d = 0; d < n; ++d) {
-    if (corr.perm[d] == RegisterCorrespondence::kNone &&
-        corr.inv[d] == RegisterCorrespondence::kNone) {
-      corr.perm[d] = static_cast<std::uint32_t>(d);
-      corr.inv[d] = static_cast<std::uint32_t>(d);
-      ++corr.fallbacks;
-    }
-  }
-  for (std::size_t d = 0; d < n; ++d) {
-    if (corr.perm[d] == RegisterCorrespondence::kNone) corr.unmatched_golden.push_back(d);
-    if (corr.inv[d] == RegisterCorrespondence::kNone) corr.unmatched_revised.push_back(d);
-    if (corr.perm[d] != RegisterCorrespondence::kNone && corr.perm[d] != d) ++corr.permuted;
-  }
-  return corr;
-}
-
 /// One stage boundary's worth of point checks: structural signatures, the
 /// lazily-built miter solver, and all loop scratch live here so the per-point
-/// path never allocates beyond genuine growth.
+/// path never allocates beyond genuine growth. Interface positions pair the
+/// two sides: input i, output i and DFF i of the golden netlist meet input i,
+/// output i and DFF i of the revised one.
 class PointChecker {
  public:
-  PointChecker(const Netlist& golden, const Netlist& revised,
-               const RegisterCorrespondence& corr, const CecOptions& opts, CecReport& report)
-      : golden_(golden), revised_(revised), corr_(corr), opts_(opts), report_(report) {
-    side_signatures(golden_, sig_[0], {});
-    side_signatures(revised_, sig_[1], corr_.inv);
+  PointChecker(const Netlist& golden, const Netlist& revised, const CecOptions& opts,
+               CecReport& report)
+      : golden_(golden), revised_(revised), opts_(opts), report_(report) {
+    side_signatures(golden_, sig_[0]);
+    side_signatures(revised_, sig_[1]);
   }
 
-  /// Checks output `idx` (is_state == false) or golden DFF D-function `idx`
-  /// against its correspondence partner (is_state == true). Returns false
-  /// when a counterexample stopped the scan.
+  /// Checks output `idx` (is_state == false) or DFF D-function `idx`
+  /// (is_state == true) of both netlists. Returns false when a
+  /// counterexample stopped the scan.
   bool check_point(std::size_t idx, bool is_state) {
     ++report_.checks;
     const NodeId ga = is_state ? golden_.fanin(golden_.dffs()[idx], 0)
                                : golden_.fanin(golden_.outputs()[idx], 0);
-    const NodeId rb = is_state ? revised_.fanin(revised_.dffs()[corr_.perm[idx]], 0)
+    const NodeId rb = is_state ? revised_.fanin(revised_.dffs()[idx], 0)
                                : revised_.fanin(revised_.outputs()[idx], 0);
 
     if (!opts_.force_bdd && sig_[0][ga.index()] == sig_[1][rb.index()]) {
@@ -277,24 +57,13 @@ class PointChecker {
     }
 
     const ConeSupport sup_a = cone_support(golden_, ga);
-    ConeSupport sup_b = cone_support(revised_, rb);
-    // Revised state leaves live in the revised index space; the
-    // correspondence maps them onto golden indices so both supports merge in
-    // one shared space.
-    for (std::uint32_t& s : sup_b.states) s = corr_.inv[s];
-    std::sort(sup_b.states.begin(), sup_b.states.end());
+    const ConeSupport sup_b = cone_support(revised_, rb);
     merged_.inputs.clear();
     merged_.states.clear();
     std::set_union(sup_a.inputs.begin(), sup_a.inputs.end(), sup_b.inputs.begin(),
                    sup_b.inputs.end(), std::back_inserter(merged_.inputs));
     std::set_union(sup_a.states.begin(), sup_a.states.end(), sup_b.states.begin(),
                    sup_b.states.end(), std::back_inserter(merged_.states));
-    // The revised extract needs the same leaves back in its own index space,
-    // preserving the merged leaf order so column j means the same variable
-    // on both sides.
-    merged_rev_.inputs = merged_.inputs;
-    merged_rev_.states.clear();
-    for (const std::uint32_t s : merged_.states) merged_rev_.states.push_back(corr_.perm[s]);
     const int m = static_cast<int>(merged_.num_leaves());
 
     if (opts_.force_bdd) {
@@ -323,7 +92,7 @@ class PointChecker {
   bool check_exhaustive(std::size_t idx, bool is_state, NodeId ga, NodeId rb, int m) {
     const std::optional<std::uint64_t> row =
         netlist::exhaustive_mismatch(extract_cone(golden_, ga, merged_),
-                                     extract_cone(revised_, rb, merged_rev_));
+                                     extract_cone(revised_, rb, merged_));
     // A support of <= 6 leaves fits one 64-lane word: the truth-table count.
     ++(m <= logic::TruthTable::kMaxVars ? report_.tier_table : report_.tier_exhaustive);
     if (!row) return true;
@@ -339,7 +108,7 @@ class PointChecker {
   bool check_by_bdd(std::size_t idx, bool is_state, NodeId ga, NodeId rb, int m,
                     bool& resolved) {
     const Netlist ca = extract_cone(golden_, ga, merged_);
-    const Netlist cb = extract_cone(revised_, rb, merged_rev_);
+    const Netlist cb = extract_cone(revised_, rb, merged_);
     bdd::BddManager mgr(opts_.bdd_node_budget);
     bdd_order(ca, cb);
     const bdd::Ref fa = cone_bdd(mgr, ca);
@@ -456,7 +225,7 @@ class PointChecker {
   bool check_by_sat(std::size_t idx, bool is_state, NodeId ga, NodeId rb) {
     if (!solver_) {
       solver_ = std::make_unique<sat::Solver>();
-      encoder_ = std::make_unique<sat::MiterEncoder>(golden_, revised_, *solver_, corr_.inv);
+      encoder_ = std::make_unique<sat::MiterEncoder>(golden_, revised_, *solver_);
       if (opts_.sat_sweep) sat_sweep();
     }
     const sat::Lit la = encoder_->encode(sat::MiterEncoder::Side::kGolden, ga);
@@ -512,8 +281,8 @@ class PointChecker {
     const std::size_t width = golden_.inputs().size() + golden_.dffs().size();
     stimulus_.resize(width * static_cast<std::size_t>(kSweepWords));
     for (auto& w : stimulus_) w = rng.next_u64();
-    sim_signatures(golden_, sweep_sig_[0], {});
-    sim_signatures(revised_, sweep_sig_[1], corr_.inv);
+    sim_signatures(golden_, sweep_sig_[0]);
+    sim_signatures(revised_, sweep_sig_[1]);
     for (const NodeId id : golden_.topo_order()) {
       if (golden_.node(id).type != NodeType::kComb) continue;
       const sat::Lit lit = encoder_->encode(sat::MiterEncoder::Side::kGolden, id);
@@ -527,11 +296,9 @@ class PointChecker {
   }
 
   /// Evaluates kSweepWords shared stimulus words through `nl`, storing every
-  /// node's response words contiguously in `sig`. `state_key` (the revised
-  /// side's correspondence) redirects each DFF to its golden partner's
-  /// stimulus word so corresponding leaves see identical patterns.
-  void sim_signatures(const Netlist& nl, std::vector<std::uint64_t>& sig,
-                      std::span<const std::uint32_t> state_key) {
+  /// node's response words contiguously in `sig`. Input i and DFF d read the
+  /// same stimulus word on both sides.
+  void sim_signatures(const Netlist& nl, std::vector<std::uint64_t>& sig) {
     sig.assign(nl.num_nodes() * static_cast<std::size_t>(kSweepWords), 0);
     BitSimulator sim(nl);
     const std::size_t ni = nl.inputs().size();
@@ -540,7 +307,7 @@ class PointChecker {
                                    static_cast<std::size_t>(w) * (ni + nl.dffs().size());
       for (std::size_t i = 0; i < ni; ++i) sim.set_input(i, words[i]);
       for (std::size_t d = 0; d < nl.dffs().size(); ++d) {
-        sim.set_state(d, words[ni + (state_key.empty() ? d : state_key[d])]);
+        sim.set_state(d, words[ni + d]);
       }
       sim.eval();
       for (const NodeId id : nl.all_nodes()) {
@@ -601,8 +368,7 @@ class PointChecker {
   }
 
   /// Expands one 0/1 value per merged leaf (BDD path or exhaustive row) into
-  /// a full-interface counterexample and stores it. State leaves are golden
-  /// indices, so the witness is always expressed on the golden interface.
+  /// a full-interface counterexample and stores it.
   void record_cex_from_leaves(std::size_t idx, bool is_state,
                               const std::vector<std::uint8_t>& leaves) {
     CecCounterexample cex;
@@ -633,12 +399,12 @@ class PointChecker {
     for (std::size_t d = 0; d < cex.state.size(); ++d) {
       const std::uint64_t w = cex.state[d] != 0 ? ~std::uint64_t{0} : 0;
       sg.set_state(d, w);
-      sr.set_state(corr_.perm[d], w);  // the revised partner sees the same value
+      sr.set_state(d, w);
     }
     sg.eval();
     sr.eval();
     const std::uint64_t vg = is_state ? sg.next_state(idx) : sg.output(idx);
-    const std::uint64_t vr = is_state ? sr.next_state(corr_.perm[idx]) : sr.output(idx);
+    const std::uint64_t vr = is_state ? sr.next_state(idx) : sr.output(idx);
     VPGA_ASSERT_MSG((vg & 1) != (vr & 1), "CEC counterexample failed simulation replay");
     cex.point_index = idx;
     cex.is_state = is_state;
@@ -656,10 +422,9 @@ class PointChecker {
 
   /// Shared structural signatures: identical cones — across both netlists —
   /// get identical dense ids, making tier 1 a single compare per point.
-  /// `state_key` (the revised side's correspondence) keys each DFF leaf by
-  /// its golden partner so corresponding registers share a signature.
-  void side_signatures(const Netlist& nl, std::vector<std::uint32_t>& sig,
-                       std::span<const std::uint32_t> state_key) {
+  /// Leaves are keyed by interface position, so DFF d is the same leaf on
+  /// both sides.
+  void side_signatures(const Netlist& nl, std::vector<std::uint32_t>& sig) {
     sig.assign(nl.num_nodes(), 0);
     common::FnKey key;
     for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
@@ -671,7 +436,7 @@ class PointChecker {
     for (std::size_t d = 0; d < nl.dffs().size(); ++d) {
       key = common::FnKey();
       key.tag = 2;
-      key.bits = state_key.empty() ? d : state_key[d];
+      key.bits = d;
       sig[nl.dffs()[d].index()] = fresh_sig(key);
     }
     for (const NodeId id : nl.all_nodes()) {
@@ -699,7 +464,6 @@ class PointChecker {
 
   const Netlist& golden_;
   const Netlist& revised_;
-  const RegisterCorrespondence& corr_;
   const CecOptions& opts_;
   CecReport& report_;
   common::FnKeyMap sigmap_;
@@ -708,7 +472,6 @@ class PointChecker {
   std::vector<std::uint64_t> stimulus_;
   std::vector<std::uint64_t> sweep_sig_[2];
   ConeSupport merged_;
-  ConeSupport merged_rev_;  ///< merged support in the revised index space
   // BDD-tier scratch, hoisted like the rest of the per-point loop state.
   std::vector<std::uint32_t> bdd_level_;
   std::vector<std::uint32_t> bdd_leaf_of_;
@@ -726,8 +489,13 @@ void dump_cex_json(const char* path, const Netlist& golden, const std::string& s
                    const CecCounterexample& cex) {
   std::ofstream os(path);
   if (!os) return;
-  os << "{\n  \"design\": \"" << golden.name() << "\",\n  \"stage\": \"" << stage
-     << "\",\n  \"point\": \"" << cex.point << "\",\n  \"is_state\": "
+  auto quoted = [](std::string_view s) {
+    std::string q;
+    obs::json::append_string(q, s);
+    return q;
+  };
+  os << "{\n  \"design\": " << quoted(golden.name()) << ",\n  \"stage\": " << quoted(stage)
+     << ",\n  \"point\": " << quoted(cex.point) << ",\n  \"is_state\": "
      << (cex.is_state ? "true" : "false") << ",\n  \"inputs\": [";
   for (std::size_t i = 0; i < cex.inputs.size(); ++i) {
     os << (i == 0 ? "" : ", ") << static_cast<int>(cex.inputs[i]);
@@ -778,16 +546,6 @@ std::uint64_t netlist_fingerprint(const Netlist& nl) {
   return h;
 }
 
-namespace {
-
-std::string dff_display_name(const Netlist& nl, std::size_t d) {
-  const std::string& name = nl.name_of(nl.dffs()[d]);
-  if (!name.empty()) return name;
-  return "dff[" + std::to_string(d) + "]";
-}
-
-}  // namespace
-
 CecReport check_combinational_equivalence(const Netlist& golden, const Netlist& revised,
                                           const CecOptions& opts) {
   CecReport report;
@@ -798,23 +556,7 @@ CecReport check_combinational_equivalence(const Netlist& golden, const Netlist& 
     report.equivalent = false;
     return report;
   }
-  const RegisterCorrespondence corr = match_registers(golden, revised);
-  report.corr_classes = corr.classes;
-  report.corr_rounds = corr.rounds;
-  report.corr_permuted = corr.permuted;
-  report.corr_fallbacks = corr.fallbacks;
-  if (!corr.complete()) {
-    // Without a state bijection the point comparison is not well defined:
-    // report the orphans and let the caller surface cec.state-unmatched.
-    for (const std::size_t d : corr.unmatched_golden) {
-      report.unmatched_registers.push_back(dff_display_name(golden, d));
-    }
-    for (const std::size_t d : corr.unmatched_revised) {
-      report.unmatched_registers.push_back("revised:" + dff_display_name(revised, d));
-    }
-    return report;
-  }
-  PointChecker checker(golden, revised, corr, opts, report);
+  PointChecker checker(golden, revised, opts, report);
   bool scanning = true;
   for (std::size_t o = 0; scanning && o < golden.outputs().size(); ++o) {
     scanning = checker.check_point(o, false);
@@ -845,11 +587,6 @@ void check_cec(const Netlist& golden, const Netlist& revised, const std::string&
   obs::count("cec.bdd_ite_calls", cec.bdd_ite_calls);
   obs::count("cec.bdd_cache_hits", cec.bdd_cache_hits);
   obs::count("cec.bdd_fallbacks", cec.bdd_fallbacks);
-  obs::count("cec.corr_classes", cec.corr_classes);
-  obs::count("cec.corr_rounds", cec.corr_rounds);
-  obs::count("cec.corr_permuted", cec.corr_permuted);
-  obs::count("cec.corr_fallbacks", cec.corr_fallbacks);
-  obs::count("cec.corr_unmatched", static_cast<long long>(cec.unmatched_registers.size()));
   obs::count("sat.conflicts", cec.sat_stats.conflicts);
   obs::count("sat.decisions", cec.sat_stats.decisions);
   obs::count("sat.propagations", cec.sat_stats.propagations);
@@ -865,14 +602,6 @@ void check_cec(const Netlist& golden, const Netlist& revised, const std::string&
                    std::to_string(revised.outputs().size()) + ", dffs " +
                    std::to_string(golden.dffs().size()) + " vs " +
                    std::to_string(revised.dffs().size()));
-    return;
-  }
-  if (!cec.unmatched_registers.empty()) {
-    report.add(Severity::kError, "cec.state-unmatched", stage, NodeId(),
-               std::to_string(cec.unmatched_registers.size()) +
-                   " register(s) have no correspondence partner (signature refinement and "
-                   "positional fallback both failed), first: " +
-                   cec.unmatched_registers.front());
     return;
   }
   if (cec.cex.has_value()) {

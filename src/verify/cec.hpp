@@ -27,15 +27,13 @@
 ///      deep miters (multiplier outputs, wide datapaths) collapse instead of
 ///      exploding.
 ///
-/// Sequential netlists are first aligned by *register correspondence*:
-/// instead of assuming DFF i on one side is DFF i on the other, registers are
-/// partition-refined by 256-pattern next-state simulation signatures plus
-/// structural cone fingerprints (jointly over both sides, so class ids are
-/// side-independent), then paired within classes. Netlists whose registers
-/// were reordered or renamed therefore still verify; registers with no
-/// signature-compatible partner on the other side are reported via
-/// cec.state-unmatched and no point comparison is attempted (without a state
-/// bijection the combinational comparison is not well defined).
+/// Registers pair by position: golden DFF i is revised DFF i, one shared
+/// state leaf and one next-state check point. No flow stage reorders
+/// registers, and the interface check guarantees equal DFF counts, so the
+/// pairing is always complete. A netlist whose registers were reordered
+/// refutes with a replayed cec.output-diverges or cec.state-diverges witness;
+/// proving it would take a register correspondence this checker does not
+/// attempt.
 ///
 /// Any inequivalence produces a full-interface counterexample which is
 /// replayed through the bit simulator on the *original* netlists before
@@ -47,7 +45,6 @@
 ///   cec.interface-mismatch  PI/PO/DFF counts differ between the netlists
 ///   cec.output-diverges     a primary output function differs (cex attached)
 ///   cec.state-diverges      a DFF next-state function differs (cex attached)
-///   cec.state-unmatched     a register has no correspondence partner
 ///   cec.resource-limit      a point exhausted the SAT conflict budget
 
 #include <cstdint>
@@ -83,8 +80,8 @@ struct CecOptions {
   bool force_bdd = false;
 };
 
-/// A witness assignment over the full golden interface: inputs[i] / state[d]
-/// are 0/1 values aligned with golden.inputs() / golden.dffs().
+/// A witness assignment over the shared interface: inputs[i] / state[d] are
+/// 0/1 values for input i / DFF d of both netlists.
 struct CecCounterexample {
   std::vector<std::uint8_t> inputs;
   std::vector<std::uint8_t> state;
@@ -115,18 +112,8 @@ struct CecReport {
   long long bdd_ite_calls = 0;  ///< non-terminal ITE recursions
   long long bdd_cache_hits = 0; ///< computed-cache hits
   int bdd_fallbacks = 0;        ///< budget exhaustions that fell through to SAT
-  /// Register-correspondence statistics (zero on purely combinational pairs).
-  int corr_classes = 0;   ///< refinement classes at the fixpoint
-  int corr_rounds = 0;    ///< refinement rounds until the fixpoint
-  int corr_permuted = 0;  ///< registers matched away from their position
-  int corr_fallbacks = 0; ///< signature-unmatched registers paired positionally
-  /// Registers with no partner ("name" golden side, "revised:name" revised
-  /// side). Non-empty => no point comparison ran (see file comment).
-  std::vector<std::string> unmatched_registers;
 
-  [[nodiscard]] bool proven() const {
-    return interface_ok && equivalent && unknown == 0 && unmatched_registers.empty();
-  }
+  [[nodiscard]] bool proven() const { return interface_ok && equivalent && unknown == 0; }
 };
 
 /// Proves or refutes combinational equivalence of every output and next-state

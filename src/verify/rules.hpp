@@ -12,7 +12,7 @@
 
 namespace vpga::verify {
 
-inline constexpr std::array<std::string_view, 28> kRuleCatalogue = {
+inline constexpr std::array<std::string_view, 27> kRuleCatalogue = {
     // Structural lint (any stage).
     "lint.invalid-fanin",
     "lint.undriven-dff",
@@ -46,7 +46,6 @@ inline constexpr std::array<std::string_view, 28> kRuleCatalogue = {
     "cec.interface-mismatch",
     "cec.output-diverges",
     "cec.state-diverges",
-    "cec.state-unmatched",
     "cec.resource-limit",
 };
 

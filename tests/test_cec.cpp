@@ -6,12 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "core/plb.hpp"
 #include "designs/designs.hpp"
 #include "netlist/bitsim.hpp"
 #include "netlist/netlist.hpp"
+#include "obs/json.hpp"
 #include "synth/mapper.hpp"
 #include "verify/equiv.hpp"
 
@@ -105,8 +111,8 @@ Netlist make_parity_chain(int width, Fold fold) {
 
 /// Clones `src` with its registers *declared* in `perm` order (new DFF
 /// position i holds the register at src position perm[i]); every function and
-/// wire is otherwise identical. Positional DFF matching mislabels such a pair
-/// as diverged — only register correspondence recovers the bijection.
+/// wire is otherwise identical. The checker pairs registers by position, so
+/// such a pair is refuted: the state encoding itself has changed.
 Netlist permute_registers(const Netlist& src, const std::vector<std::size_t>& perm) {
   Netlist dst(src.name());
   std::vector<NodeId> map(src.num_nodes());
@@ -318,6 +324,43 @@ TEST(Cec, ConstantConeRefutationPinsAllZeroWitness) {
   EXPECT_TRUE(cex_witnesses_diff(a, b, *rep.cex));
 }
 
+TEST(Cec, CounterexampleDumpEscapesNames) {
+  // VPGA_CEC_CEX_PATH receives a JSON document; names carrying quotes and
+  // backslashes must be escaped so the dump parses back intact.
+  Netlist a("de\"sign");
+  Netlist b("de\"sign");
+  {
+    const NodeId x = a.add_input("x");
+    const NodeId y = a.add_input("y");
+    a.add_output(a.add_and(x, y), "o\"x\\y");
+  }
+  {
+    const NodeId x = b.add_input("x");
+    const NodeId y = b.add_input("y");
+    b.add_output(b.add_or(x, y), "o\"x\\y");
+  }
+  const std::string path = ::testing::TempDir() + "vpga_cec_cex_escape.json";
+  std::remove(path.c_str());
+  ::setenv("VPGA_CEC_CEX_PATH", path.c_str(), 1);
+  VerifyReport r;
+  check_cec(a, b, "post-map", r);
+  ::unsetenv("VPGA_CEC_CEX_PATH");
+  EXPECT_TRUE(r.fired("cec.output-diverges")) << r.summary();
+
+  std::ifstream is(path);
+  ASSERT_TRUE(is.good()) << "no counterexample dump at " << path;
+  const std::string text((std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
+  obs::json::Value doc;
+  std::string err;
+  ASSERT_TRUE(obs::json::parse(text, doc, &err)) << err << "\n" << text;
+  ASSERT_NE(doc.find("design"), nullptr);
+  ASSERT_NE(doc.find("point"), nullptr);
+  EXPECT_EQ(doc.find("design")->string, "de\"sign");
+  EXPECT_EQ(doc.find("point")->string, "o\"x\\y");
+  EXPECT_EQ(doc.find("stage")->string, "post-map");
+  std::remove(path.c_str());
+}
+
 TEST(Cec, InterfaceMismatchRefusesToCompare) {
   const Netlist small = designs::make_ripple_adder(4);
   const Netlist large = designs::make_ripple_adder(8);
@@ -431,38 +474,44 @@ TEST(Cec, ParityChainMutationRefutedByBddWithWitness) {
   EXPECT_TRUE(cex_witnesses_diff(fwd, mutated, *rep.cex));
 }
 
-TEST(Cec, PermutedRegistersProveViaCorrespondence) {
-  // Reverse the declaration order of the counter's registers: position-based
-  // matching would compare bit 0's next-state against bit 7's and refute a
-  // correct design. Correspondence must recover the bijection and prove.
+TEST(Cec, PermutedRegistersRefuteWithReplayedWitness) {
+  // Reverse the declaration order of the counter's registers: registers pair
+  // by position, so bit 0 meets bit 7. Outputs are checked first and
+  // count[0] reads register 0's Q, so the first divergence is that output,
+  // with a witness the independent replay confirms.
   const Netlist golden = designs::make_counter(8);
   std::vector<std::size_t> perm(golden.dffs().size());
   for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = perm.size() - 1 - i;
   const Netlist revised = permute_registers(golden, perm);
   const CecReport rep = check_combinational_equivalence(golden, revised);
-  EXPECT_TRUE(rep.proven()) << "permuted counter must verify";
-  EXPECT_GT(rep.corr_permuted, 0);
-  EXPECT_EQ(rep.corr_fallbacks, 0);
-  EXPECT_TRUE(rep.unmatched_registers.empty());
+  EXPECT_TRUE(rep.interface_ok);
+  EXPECT_FALSE(rep.equivalent);
+  EXPECT_FALSE(rep.proven());
+  ASSERT_TRUE(rep.cex.has_value());
+  EXPECT_FALSE(rep.cex->is_state);
+  EXPECT_EQ(rep.cex->point_index, 0u);
+  EXPECT_TRUE(cex_witnesses_diff(golden, revised, *rep.cex));
 }
 
-TEST(Cec, PermutedPaperDesignProvesExactly) {
-  // The acceptance gate: a register-permuted variant of a paper design (the
-  // sequential-dominated Firewire controller) passes the exact gate through
-  // register correspondence, end to end via the check_cec wrapper.
+TEST(Cec, PermutedPaperDesignRefutesWithReplayedWitness) {
+  // A register-permuted Firewire controller (the sequential-dominated paper
+  // design) fails the exact gate end to end via the check_cec wrapper with
+  // one replay-confirmed divergence: its first output reads a register.
   const Netlist golden = designs::make_firewire(4, 8).netlist;
   ASSERT_GT(golden.dffs().size(), 1u);
   std::vector<std::size_t> perm(golden.dffs().size());
   for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = perm.size() - 1 - i;
   const Netlist revised = permute_registers(golden, perm);
   const CecReport rep = check_combinational_equivalence(golden, revised);
-  EXPECT_TRUE(rep.proven()) << "permuted firewire must verify";
-  EXPECT_GT(rep.corr_permuted, 0);
+  EXPECT_FALSE(rep.proven());
+  ASSERT_TRUE(rep.cex.has_value());
+  EXPECT_EQ(rep.cex->point, "rd_data[0]");
+  EXPECT_TRUE(cex_witnesses_diff(golden, revised, *rep.cex));
 
   VerifyReport r;
   check_cec(golden, revised, "test", r);
-  EXPECT_EQ(r.error_count(), 0) << r.summary();
-  EXPECT_EQ(r.warning_count(), 0) << r.summary();
+  EXPECT_EQ(r.error_count(), 1) << r.summary();
+  EXPECT_TRUE(r.fired("cec.output-diverges")) << r.summary();
 }
 
 TEST(Cec, ForcedBddTierIsCompleteAndByteStable) {

@@ -3,14 +3,15 @@
 // statically (docs/LINT.md). Two independent compare_architectures runs on
 // the same design must agree byte-for-byte on every FlowReport quantity and
 // on the full metrics export — including with the four flows racing on
-// threads (parallel_compare), which is why this test is in the CI TSan job's
-// filter alongside test_obs and test_flow.
+// threads, which is why this test is in the CI TSan job's filter alongside
+// test_obs and test_flow.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -66,17 +67,32 @@ TEST(Determinism, CompareArchitecturesTwiceIsByteIdentical) {
   expect_reports_identical(first.lut_b, second.lut_b);
 }
 
+/// compare_architectures' four flows, each on its own thread. The runs share
+/// only immutable inputs, and each run_flow binds a fresh thread-local
+/// ObsContext, so traces and metrics must never interleave.
+flow::DesignComparison compare_on_threads(const designs::BenchmarkDesign& design,
+                                          const flow::FlowOptions& opts) {
+  flow::DesignComparison c;
+  const auto gran = core::PlbArchitecture::granular();
+  const auto lut = core::PlbArchitecture::lut_based();
+  {
+    std::jthread ga([&] { c.granular_a = flow::run_flow(design, gran, 'a', opts); });
+    std::jthread gb([&] { c.granular_b = flow::run_flow(design, gran, 'b', opts); });
+    std::jthread la([&] { c.lut_a = flow::run_flow(design, lut, 'a', opts); });
+    std::jthread lb([&] { c.lut_b = flow::run_flow(design, lut, 'b', opts); });
+  }  // joined here, before c is read
+  return c;
+}
+
 TEST(Determinism, ParallelCompareMatchesItselfAndSerial) {
   const auto design = small_design();
-  flow::FlowOptions serial_opts;
-  serial_opts.metrics = true;
-  serial_opts.seed = 11;
-  flow::FlowOptions parallel_opts = serial_opts;
-  parallel_opts.parallel_compare = true;
+  flow::FlowOptions opts;
+  opts.metrics = true;
+  opts.seed = 11;
 
-  const auto serial = flow::compare_architectures(design, serial_opts);
-  const auto parallel1 = flow::compare_architectures(design, parallel_opts);
-  const auto parallel2 = flow::compare_architectures(design, parallel_opts);
+  const auto serial = flow::compare_architectures(design, opts);
+  const auto parallel1 = compare_on_threads(design, opts);
+  const auto parallel2 = compare_on_threads(design, opts);
 
   // Threading must change nothing: parallel == serial, and parallel runs
   // agree with each other.

@@ -109,6 +109,50 @@ TEST(NetlistIo, RejectsUnknownCell) {
   EXPECT_FALSE(read_netlist(is).ok);
 }
 
+namespace {
+
+/// Parses a small netlist whose one comb node (line 3) carries `attr`.
+ParseResult read_with_attr(const std::string& attr) {
+  std::istringstream is(
+      "vpga-netlist 1\n"
+      "node 0 input a\n"
+      "node 1 comb 1 2 0 " + attr + "\n"
+      "node 2 output 1 y\n"
+      "node 3 input b\n"
+      "end\n");
+  return read_netlist(is);
+}
+
+}  // namespace
+
+TEST(NetlistIo, RejectsNonNumericConfigTag) {
+  const auto r = read_with_attr("config=abc");
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error.rfind("line 3: ", 0), 0u) << r.error;
+}
+
+TEST(NetlistIo, RejectsConfigTagAbove255) {
+  const auto r = read_with_attr("config=300");
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("0..255"), std::string::npos) << r.error;
+  EXPECT_TRUE(read_with_attr("config=255").ok);
+}
+
+TEST(NetlistIo, RejectsMacroIdBeyondAnyInteger) {
+  const auto r = read_with_attr("macro=99999999999999999999");
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error.rfind("line 3: ", 0), 0u) << r.error;
+}
+
+TEST(NetlistIo, RejectsMacroIdThatIsNotANode) {
+  const auto r = read_with_attr("macro=77");
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error.rfind("line 3: ", 0), 0u) << r.error;
+  EXPECT_NE(r.error.find("not a node"), std::string::npos) << r.error;
+  // A representative declared later in the file is still a node.
+  EXPECT_TRUE(read_with_attr("macro=3").ok);
+}
+
 TEST(NetlistIo, DffForwardReferenceAllowed) {
   std::istringstream is(
       "vpga-netlist 1\n"

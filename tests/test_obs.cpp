@@ -409,12 +409,20 @@ TEST(FlowObs, DisabledRunCarriesNoObservability) {
 
 TEST(FlowObs, ParallelCompareMatchesSerial) {
   const auto design = small_design();
-  flow::FlowOptions serial_opts;
-  serial_opts.metrics = true;
-  auto parallel_opts = serial_opts;
-  parallel_opts.parallel_compare = true;
-  const auto serial = flow::compare_architectures(design, serial_opts);
-  const auto parallel = flow::compare_architectures(design, parallel_opts);
+  flow::FlowOptions opts;
+  opts.metrics = true;
+  const auto serial = flow::compare_architectures(design, opts);
+  // The same four flows racing on their own threads; each run_flow binds a
+  // fresh thread-local ObsContext.
+  flow::DesignComparison parallel;
+  {
+    const auto gran = core::PlbArchitecture::granular();
+    const auto lut = core::PlbArchitecture::lut_based();
+    std::jthread ga([&] { parallel.granular_a = flow::run_flow(design, gran, 'a', opts); });
+    std::jthread gb([&] { parallel.granular_b = flow::run_flow(design, gran, 'b', opts); });
+    std::jthread la([&] { parallel.lut_a = flow::run_flow(design, lut, 'a', opts); });
+    std::jthread lb([&] { parallel.lut_b = flow::run_flow(design, lut, 'b', opts); });
+  }
   const std::pair<const flow::FlowReport*, const flow::FlowReport*> runs[] = {
       {&serial.granular_a, &parallel.granular_a},
       {&serial.granular_b, &parallel.granular_b},

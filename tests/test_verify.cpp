@@ -514,12 +514,11 @@ TEST(Cec, CorruptedNextStateFiresStateDiverges) {
   expect_fired(r, "cec.state-diverges");
 }
 
-TEST(Cec, CrossPositionOrphanRegistersFireStateUnmatched) {
+TEST(Cec, ReorderedRegistersFireStateDiverges) {
   // Golden registers: [X: a&b, Y: a^b]. Revised registers: [Y: a^b, Z: a|b].
-  // Y finds its class-mate across positions; the leftovers X (golden, pos 0)
-  // and Z (revised, pos 1) sit at different positions, so even the positional
-  // fallback cannot pair them — the correspondence is incomplete and the
-  // checker must refuse to compare points rather than guess a bijection.
+  // Registers pair by position, so the output (an OR of both registers on
+  // either side) proves, while register 0 (a&b vs a^b) refutes with a
+  // next-state witness.
   Netlist golden;
   {
     const NodeId a = golden.add_input("a");
@@ -542,8 +541,8 @@ TEST(Cec, CrossPositionOrphanRegistersFireStateUnmatched) {
   }
   VerifyReport r;
   check_cec(golden, revised, "test", r);
-  expect_fired(r, "cec.state-unmatched");
-  EXPECT_GT(r.error_count(), 0);
+  expect_fired(r, "cec.state-diverges");
+  EXPECT_EQ(r.error_count(), 1);
 }
 
 TEST(Cec, ExhaustedBudgetFiresResourceLimit) {

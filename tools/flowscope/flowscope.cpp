@@ -86,15 +86,6 @@ void classify_relative(Delta& d, double tol, bool increase_is_regress = true) {
     d.verdict = Verdict::kNeutral;
 }
 
-void append_quoted(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out += c;
-  }
-  out += '"';
-}
-
 std::string fmt(double v) { return obs::json::format_double(v); }
 
 std::string percent(double rel) {
@@ -369,10 +360,10 @@ std::string verdict_json(const Analysis& a) {
   std::string out = "{\"schema\":\"vpga.flowscope.v1\",\"baselines\":[";
   for (std::size_t i = 0; i < a.baseline_paths.size(); ++i) {
     if (i > 0) out += ',';
-    append_quoted(out, a.baseline_paths[i]);
+    obs::json::append_string(out, a.baseline_paths[i]);
   }
   out += "],\"candidate\":";
-  append_quoted(out, a.candidate_path);
+  obs::json::append_string(out, a.candidate_path);
   out += ",\"options\":{\"z\":" + fmt(a.options.z) +
          ",\"default_cv\":" + fmt(a.options.default_cv) +
          ",\"min_cv\":" + fmt(a.options.min_cv) +
@@ -390,9 +381,9 @@ std::string verdict_json(const Analysis& a) {
     if (!first) out += ',';
     first = false;
     out += "{\"kind\":";
-    append_quoted(out, d.kind);
+    obs::json::append_string(out, d.kind);
     out += ",\"id\":";
-    append_quoted(out, d.id);
+    obs::json::append_string(out, d.id);
     out += ",\"baseline\":" + fmt(d.baseline);
     out += ",\"candidate\":" + fmt(d.candidate);
     out += ",\"delta_rel\":" + fmt(d.delta_rel);
@@ -401,7 +392,7 @@ std::string verdict_json(const Analysis& a) {
     out += ",\"repeats\":" + std::to_string(d.repeats);
     out += std::string(",\"gated\":") + (d.gated ? "true" : "false");
     out += ",\"verdict\":";
-    append_quoted(out, to_string(d.verdict));
+    obs::json::append_string(out, to_string(d.verdict));
     out += '}';
   }
   out += "]}\n";
