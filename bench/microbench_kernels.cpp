@@ -15,8 +15,6 @@
 #include "designs/designs.hpp"
 #include "logic/npn.hpp"
 #include "logic/s3.hpp"
-#include "obs/events.hpp"
-#include "obs/memtrack.hpp"
 #include "obs/obs.hpp"
 #include "pack/packer.hpp"
 #include "place/placement.hpp"
@@ -232,28 +230,6 @@ void BM_ObsEnabledMetrics(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObsEnabledMetrics);
-
-// Always-on observability overhead on a real kernel: BM_FlowMapLabels/16
-// wrapped in one span per iteration, under three recorder states —
-//   0: flight recorder off (VPGA_FLIGHT=0 equivalent)
-//   1: flight recorder on (the shipped default)
-//   2: flight on + memtrack bound (FlowOptions::memtrack)
-// CI asserts state 1 stays within 2% of state 0 (the "always on at bounded
-// cost" claim in events.hpp).
-void BM_ObsOverhead(benchmark::State& state) {
-  const auto nl = designs::make_ripple_adder(16);
-  const auto m = aig::from_netlist(nl);
-  const bool was_enabled = obs::flight::enabled();
-  obs::flight::set_enabled(state.range(0) >= 1);
-  obs::memtrack::MemTracker tracker;
-  const obs::memtrack::ScopedMemTrack bind(state.range(0) >= 2 ? &tracker : nullptr);
-  for (auto _ : state) {
-    const obs::Span s("stage.map");
-    benchmark::DoNotOptimize(compact::flowmap_labels(m.aig));
-  }
-  obs::flight::set_enabled(was_enabled);
-}
-BENCHMARK(BM_ObsOverhead)->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 

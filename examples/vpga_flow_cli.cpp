@@ -21,7 +21,6 @@
 #include "core/arch_io.hpp"
 #include "flow/flow.hpp"
 #include "netlist/io.hpp"
-#include "obs/export.hpp"
 #include "netlist/verilog.hpp"
 #include "pack/layout_svg.hpp"
 #include "place/placement.hpp"
@@ -45,8 +44,6 @@ void usage(const char* argv0) {
                "          [--trace trace.json]        Chrome trace of the flow stages\n"
                "          [--metrics-json file.json]  flow counters/histograms\n"
                "                                      (docs/OBSERVABILITY.md)\n"
-               "          [--metrics-openmetrics file.txt]  same metrics as an\n"
-               "                                      OpenMetrics text exposition\n"
                "          [--memtrack]                per-stage allocation profiling\n"
                "                                      (*.alloc_* counters)\n",
                argv0);
@@ -68,7 +65,7 @@ int main(int argc, char** argv) {
   std::string arch_name = "granular";
   std::string arch_file;
   std::string svg_path, save_path, verilog_path;
-  std::string trace_path, metrics_path, openmetrics_path;
+  std::string trace_path, metrics_path;
   bool want_power = false;
   bool want_memtrack = false;
   bool cec_force_bdd = false;
@@ -83,8 +80,7 @@ int main(int argc, char** argv) {
       {"--flow", &flow_arg},            {"--clock", &clock_arg},
       {"--svg", &svg_path},             {"--save-mapped", &save_path},
       {"--save-verilog", &verilog_path}, {"--trace", &trace_path},
-      {"--metrics-json", &metrics_path}, {"--metrics-openmetrics", &openmetrics_path},
-      {"--verify", &verify_arg}};
+      {"--metrics-json", &metrics_path}, {"--verify", &verify_arg}};
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     bool* flag = nullptr;
@@ -169,7 +165,7 @@ int main(int argc, char** argv) {
   fopts.verify_level = verify_level;
   fopts.cec.force_bdd = cec_force_bdd;
   fopts.trace = !trace_path.empty();
-  fopts.metrics = !metrics_path.empty() || !openmetrics_path.empty();
+  fopts.metrics = !metrics_path.empty();
   fopts.memtrack = want_memtrack;
   const auto r = flow::run_flow(design, arch, which, fopts);
   std::printf("design        %s\n", r.design.c_str());
@@ -207,16 +203,6 @@ int main(int argc, char** argv) {
     out << r.obs.metrics_json();
     std::printf("metrics       %s (%zu counters)\n", metrics_path.c_str(),
                 r.obs.counters.size());
-  }
-  if (!openmetrics_path.empty()) {
-    std::ofstream out(openmetrics_path);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", openmetrics_path.c_str());
-      return 1;
-    }
-    out << obs::openmetrics_text(r.obs);
-    std::printf("openmetrics   %s (scrape-ready exposition)\n",
-                openmetrics_path.c_str());
   }
 
   // Artifacts need the intermediate netlists: rebuild the front of the flow.

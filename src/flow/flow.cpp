@@ -152,13 +152,8 @@ FlowReport run_flow_impl(const designs::BenchmarkDesign& design,
 FlowReport run_flow(const designs::BenchmarkDesign& design, const core::PlbArchitecture& arch,
                     char which, const FlowOptions& opts) {
   VPGA_ASSERT(which == 'a' || which == 'b');
-  // Forensics: dump the flight-recorder ring on terminate / fatal signal,
-  // so any crash below ships its last-N-events context (events.hpp).
-  obs::flight::install_crash_handlers();
   obs::ObsContext ctx(opts.trace, opts.metrics, opts.memtrack);
   const obs::ScopedObs bind(&ctx);
-  obs::flight_event("flow.begin");
-  obs::flight_event("flow.seed", static_cast<long long>(opts.seed));
   FlowReport rep = run_flow_impl(design, arch, which, opts);
   if (opts.memtrack) {
     // Run-wide totals alongside the per-span family published at span close.
@@ -168,7 +163,6 @@ FlowReport run_flow(const designs::BenchmarkDesign& design, const core::PlbArchi
     ctx.metrics().add("flow.peak_live_bytes", t.peak_live_bytes);
   }
   rep.obs = ctx.report();
-  obs::flight_event("flow.end");
   return rep;
 }
 

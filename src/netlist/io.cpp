@@ -24,11 +24,12 @@ bool parse_cell(const std::string& s, library::CellKind& out) {
   return false;
 }
 
-/// Parses all of `text` as a decimal integer no larger than `max`; a sign,
-/// trailing characters or an out-of-range value fail.
-bool parse_decimal(std::string_view text, std::uint64_t max, std::uint64_t& out) {
+/// Parses all of `text` as an unsigned integer in `base` no larger than
+/// `max`; a sign, a prefix, trailing characters or an out-of-range value fail.
+bool parse_unsigned(std::string_view text, std::uint64_t max, std::uint64_t& out,
+                    int base = 10) {
   const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out, base);
   return ec == std::errc() && ptr == end && out <= max;
 }
 
@@ -151,19 +152,23 @@ ParseResult read_netlist(std::istream& is) {
       const NodeId ff = nl.add_dff(NodeId{});
       if (d >= 0) dff_fixups.emplace_back(ff, static_cast<std::uint32_t>(d));
       std::string attr;
-      while (ls >> attr)
-        if (attr.rfind("name=", 0) == 0) nl.set_name(ff, attr.substr(5));
+      while (ls >> attr) {
+        if (attr.rfind("name=", 0) != 0) return fail("unknown attribute '" + attr + "'");
+        nl.set_name(ff, attr.substr(5));
+      }
     } else if (type == "comb") {
       int nvars;
       std::string bits_hex;
       if (!(ls >> nvars >> bits_hex) || nvars < 0 || nvars > logic::TruthTable::kMaxVars)
         return fail("comb needs arity and hex truth table");
+      // An arity-n table has 2^n rows: no bit may be set at row 2^n or above.
+      const std::uint64_t rows_mask = nvars < logic::TruthTable::kMaxVars
+                                          ? (std::uint64_t{1} << (1 << nvars)) - 1
+                                          : std::numeric_limits<std::uint64_t>::max();
       std::uint64_t bits = 0;
-      try {
-        bits = std::stoull(bits_hex, nullptr, 16);
-      } catch (...) {
-        return fail("bad truth table '" + bits_hex + "'");
-      }
+      if (!parse_unsigned(bits_hex, rows_mask, bits, 16))
+        return fail("'" + bits_hex + "' is not a hex truth table of " +
+                    std::to_string(1 << nvars) + " rows");
       fanins.clear();
       for (int i = 0; i < nvars; ++i) {
         std::uint32_t fi;
@@ -180,13 +185,13 @@ ParseResult read_netlist(std::istream& is) {
           nl.node(c).cell = k;
         } else if (attr.rfind("config=", 0) == 0) {
           std::uint64_t tag = 0;
-          if (!parse_decimal(std::string_view(attr).substr(7), 255, tag))
+          if (!parse_unsigned(std::string_view(attr).substr(7), 255, tag))
             return fail("'" + attr + "' is not a config tag in 0..255");
           nl.node(c).config_tag = static_cast<std::uint8_t>(tag);
         } else if (attr.rfind("macro=", 0) == 0) {
           std::uint64_t rep = 0;
-          if (!parse_decimal(std::string_view(attr).substr(6),
-                             std::numeric_limits<std::uint32_t>::max(), rep))
+          if (!parse_unsigned(std::string_view(attr).substr(6),
+                              std::numeric_limits<std::uint32_t>::max(), rep))
             return fail("'" + attr + "' is not a node of the netlist");
           nl.node(c).macro_rep = NodeId(static_cast<std::uint32_t>(rep));
           macro_refs.emplace_back(lineno, rep);

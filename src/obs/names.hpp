@@ -53,14 +53,6 @@ inline constexpr std::array<std::string_view, 47> kMetricNames = {
     "sat.conflicts", "sat.decisions", "sat.propagations", "sat.restarts", "sat.learned",
 };
 
-/// Flight-recorder event names (obs::flight_event call sites; the structured
-/// span/metric/verify events record span and rule names, which the span /
-/// metric registries above already govern). Checked by fabriclint's
-/// `obs.event-name` rule.
-inline constexpr std::array<std::string_view, 4> kEventNames = {
-    "flow.begin", "flow.end", "flow.seed", "verify.abort",
-};
-
 /// True iff `name` is a registered span name.
 constexpr bool known_span(std::string_view name) {
   for (std::string_view s : kSpanNames)
@@ -71,13 +63,6 @@ constexpr bool known_span(std::string_view name) {
 /// True iff `name` is a registered metric name.
 constexpr bool known_metric(std::string_view name) {
   for (std::string_view s : kMetricNames)
-    if (s == name) return true;
-  return false;
-}
-
-/// True iff `name` is a registered flight-recorder event name.
-constexpr bool known_event(std::string_view name) {
-  for (std::string_view s : kEventNames)
     if (s == name) return true;
   return false;
 }

@@ -1,8 +1,6 @@
 #include "obs/obs.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "obs/json.hpp"
 
@@ -25,11 +23,6 @@ int histogram_bucket(double v) {
     if (v <= bound) return i;
   }
   return kHistogramBuckets - 1;
-}
-
-double histogram_bucket_bound(int i) {
-  if (i >= kHistogramBuckets - 1) return std::numeric_limits<double>::infinity();
-  return std::ldexp(1.0, i);  // 2^i
 }
 
 void MetricsRegistry::add(std::string_view name, long long delta) {

@@ -24,7 +24,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <string>
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "common/concurrency.hpp"
-#include "obs/events.hpp"
 #include "obs/memtrack.hpp"
 
 namespace vpga::obs {
@@ -94,8 +92,6 @@ class Tracer {
 /// 2^(i-1) < v <= 2^i, the last bucket overflows to infinity.
 inline constexpr int kHistogramBuckets = 40;
 int histogram_bucket(double v);
-/// Inclusive upper bound of bucket `i` (infinity for the last bucket).
-double histogram_bucket_bound(int i);
 
 struct HistogramData {
   long long count = 0;
@@ -208,33 +204,19 @@ class ScopedObs {
 // Instrumentation points
 // ---------------------------------------------------------------------------
 
-/// RAII scoped timer + memory frame + flight-recorder boundary. With no
-/// trace/memtrack-enabled context and the flight recorder off, constructing
-/// one is a thread-local load plus branches — no clock read, no allocation.
-/// With only the (always-on by default) flight recorder active, the name is
-/// copied into a fixed on-Span buffer, still allocation-free.
+/// RAII scoped timer + memory frame. With no trace/memtrack-enabled context,
+/// constructing one is a thread-local load plus a branch — no clock read,
+/// no allocation.
 class Span {
  public:
   explicit Span(std::string_view name) {
-    const bool fly = flight::enabled();
     ObsContext* c = current();
-    const bool tr = c != nullptr && c->trace_on();
-    const bool mt = c != nullptr && c->memtrack_on();
-    if (!fly && !tr && !mt) return;
-    if (fly) {
-      flight_ = true;
-      const std::size_t len =
-          name.size() < static_cast<std::size_t>(flight::kNameCapacity) - 1
-              ? name.size()
-              : static_cast<std::size_t>(flight::kNameCapacity) - 1;
-      std::memcpy(fname_, name.data(), len);
-      fname_[len] = '\0';
-      flight::record(flight::EventKind::kSpanBegin, std::string_view(fname_, len));
-    }
-    if (tr || mt) {
-      ctx_ = c;
-      name_ = name;
-    }
+    if (c == nullptr) return;
+    const bool tr = c->trace_on();
+    const bool mt = c->memtrack_on();
+    if (!tr && !mt) return;
+    ctx_ = c;
+    name_ = name;
     if (tr) {
       tracer_ = &c->tracer();
       depth_ = tracer_->open_span();
@@ -246,7 +228,6 @@ class Span {
     }
   }
   ~Span() {
-    if (flight_) flight::record(flight::EventKind::kSpanEnd, fname_);
     memtrack::FrameStats mem;
     if (mem_ != nullptr) {
       mem = mem_->pop_frame();
@@ -269,36 +250,24 @@ class Span {
   std::string name_;
   std::int64_t start_us_ = 0;
   int depth_ = 0;
-  bool flight_ = false;
-  char fname_[flight::kNameCapacity];  // set iff flight_; fixed to avoid allocation
 };
 
-/// Adds to a named counter (no-op without a metrics-enabled context). Metric
-/// deltas of a metrics-enabled run also land in the flight recorder.
+/// Adds to a named counter (no-op without a metrics-enabled context).
 inline void count(std::string_view name, long long delta = 1) {
   ObsContext* c = current();
-  if (c != nullptr && c->metrics_on()) {
-    c->metrics().add(name, delta);
-    flight::record(flight::EventKind::kMetric, name, delta);
-  }
+  if (c != nullptr && c->metrics_on()) c->metrics().add(name, delta);
 }
 
 /// Sets a named gauge to its latest value.
 inline void gauge(std::string_view name, double value) {
   ObsContext* c = current();
-  if (c != nullptr && c->metrics_on()) {
-    c->metrics().set_gauge(name, value);
-    flight::record(flight::EventKind::kMetric, name, static_cast<std::int64_t>(value));
-  }
+  if (c != nullptr && c->metrics_on()) c->metrics().set_gauge(name, value);
 }
 
 /// Records one observation into a named histogram.
 inline void observe(std::string_view name, double value) {
   ObsContext* c = current();
-  if (c != nullptr && c->metrics_on()) {
-    c->metrics().observe(name, value);
-    flight::record(flight::EventKind::kMetric, name, static_cast<std::int64_t>(value));
-  }
+  if (c != nullptr && c->metrics_on()) c->metrics().observe(name, value);
 }
 
 }  // namespace vpga::obs

@@ -4,10 +4,13 @@
 /// VPGA performs *on top of* the PLB array (upper metal layers), and the
 /// conventional routing of the flow-a ASIC implementation.
 ///
-/// Nets are star-decomposed into 2-pin connections routed as L-shapes with
-/// congestion-aware orientation choice; overflowed regions are repaired by
-/// rip-up and bounded A* maze re-routing with congestion cost (a compact
-/// PathFinder-style negotiation).
+/// Each net is decomposed into 2-pin connections along a Prim minimum
+/// spanning tree (Manhattan distance) grown from its driver. Connections are
+/// routed as L-shapes with congestion-aware orientation choice, and
+/// overloaded ones are ripped up to re-choose their orientation. Connections
+/// still on overloaded edges are then re-routed by an unbounded Dijkstra
+/// maze search over the whole grid, with edge cost rising quadratically
+/// above capacity (a compact PathFinder-style negotiation).
 
 #include <vector>
 

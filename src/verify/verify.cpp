@@ -77,21 +77,9 @@ VerifyReport FlowVerifier::check(Stage stage, const netlist::Netlist& nl,
 
   obs::count("verify.findings", static_cast<long long>(local.diagnostics().size()));
   for (const auto& d : local.diagnostics()) {
-    if (d.severity == Severity::kError) {
-      obs::count("verify.errors");
-      // Error findings go straight to the flight recorder too: if enforce()
-      // aborts the run, the forensics dump names the violated rule.
-      obs::flight::record(obs::flight::EventKind::kVerify, d.rule,
-                          static_cast<std::int64_t>(d.severity),
-                          d.node.valid() ? d.node.index() : -1);
-    }
+    if (d.severity == Severity::kError) obs::count("verify.errors");
     report_.add(d.severity, d.rule, d.stage, d.node, d.message);
   }
-  // One summary event per boundary check (name = stage, a = findings,
-  // b = errors) so a dump shows how far verification got.
-  obs::flight::record(obs::flight::EventKind::kVerify, name,
-                      static_cast<std::int64_t>(local.diagnostics().size()),
-                      static_cast<std::int64_t>(local.error_count()));
   return local;
 }
 
@@ -100,10 +88,6 @@ void enforce(const VerifyReport& report) {
   // fabriclint: disable(io.stray-stream) -- enforce() is the documented abort
   // path: diagnostics must reach stderr before VPGA_ASSERT terminates.
   std::fputs(report.summary().c_str(), stderr);
-  // Ship the postmortem before aborting: the dump latches, so the SIGABRT
-  // raised below cannot overwrite the verify-failure reason.
-  obs::flight_event("verify.abort", report.error_count());
-  obs::flight::dump_forensics("verify-failure");
   VPGA_ASSERT_MSG(!report.has_errors(), "flow verification failed (see diagnostics above)");
 }
 

@@ -62,7 +62,6 @@ ObsRegistry small_registry() {
   ObsRegistry reg;
   reg.spans = {"stage.map", "pack.attempt"};
   reg.metrics = {"route.nets", "pack.groups"};
-  reg.events = {"flow.begin", "flow.seed"};
   return reg;
 }
 
@@ -308,35 +307,6 @@ TEST(ObsMetricName, PassesOnRegisteredNames) {
                   .empty());
 }
 
-TEST(ObsEventName, FlagsConventionViolationAndUnregisteredName) {
-  const ObsRegistry reg = small_registry();
-  const auto findings = run_lint("src/x/x.cpp", R"cpp(
-    #include "obs/events.hpp"
-    void f() {
-      vpga::obs::flight_event("FlowBegin");
-      vpga::obs::flight_event("flow.unheard_of", 7);
-    }
-  )cpp",
-                                 &reg);
-  EXPECT_EQ(findings.size(), 2u);
-  EXPECT_TRUE(has_rule(findings, "obs.event-name"));
-}
-
-TEST(ObsEventName, PassesOnRegisteredAndDynamicNames) {
-  const ObsRegistry reg = small_registry();
-  EXPECT_TRUE(run_lint("src/x/x.cpp", R"cpp(
-    #include "obs/events.hpp"
-    #include <string>
-    void f(const std::string& which) {
-      vpga::obs::flight_event("flow.begin");
-      vpga::obs::flight_event("flow.seed", 42);
-      vpga::obs::flight_event("flow." + which);  // dynamic family: linter skips
-    }
-  )cpp",
-                       &reg)
-                  .empty());
-}
-
 TEST(ObsRegistryParse, ReadsRealNamesHeader) {
   const auto names_path =
       std::filesystem::path(VPGA_REPO_ROOT) / "src" / "obs" / "names.hpp";
@@ -345,11 +315,8 @@ TEST(ObsRegistryParse, ReadsRealNamesHeader) {
   EXPECT_TRUE(reg.spans.count("route.negotiate") > 0);
   EXPECT_TRUE(reg.metrics.count("route.ripups") > 0);
   EXPECT_TRUE(reg.metrics.count("verify.equiv.vectors") > 0);
-  EXPECT_TRUE(reg.events.count("flow.seed") > 0);
-  EXPECT_TRUE(reg.events.count("verify.abort") > 0);
   // Span names never leak into the metric set or vice versa.
   EXPECT_EQ(reg.metrics.count("stage.map"), 0u);
-  EXPECT_EQ(reg.events.count("stage.map"), 0u);
 }
 
 // ---------------------------------------------------------------------------

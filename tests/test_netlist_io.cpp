@@ -100,6 +100,48 @@ TEST(NetlistIo, RejectsBadTruthTable) {
   EXPECT_FALSE(read_netlist(is).ok);
 }
 
+TEST(NetlistIo, RejectsTruthTableWithTrailingGarbage) {
+  // A valid hex prefix ("3") must not be accepted for the whole token.
+  std::istringstream is(
+      "vpga-netlist 1\n"
+      "node 0 input a\n"
+      "node 1 comb 1 3zz 0\n"
+      "end\n");
+  const auto r = read_netlist(is);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error.rfind("line 3: ", 0), 0u) << r.error;
+}
+
+TEST(NetlistIo, RejectsTruthTableBitsBeyondItsRows) {
+  // A 1-input table has 2 rows, so its value must be below 4.
+  std::istringstream is(
+      "vpga-netlist 1\n"
+      "node 0 input a\n"
+      "node 1 comb 1 ff 0\n"
+      "end\n");
+  const auto r = read_netlist(is);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error.rfind("line 3: ", 0), 0u) << r.error;
+  std::istringstream full(
+      "vpga-netlist 1\n"
+      "node 0 input a\n"
+      "node 1 comb 1 3 0\n"
+      "end\n");
+  EXPECT_TRUE(read_netlist(full).ok);
+}
+
+TEST(NetlistIo, RejectsUnknownDffAttribute) {
+  std::istringstream is(
+      "vpga-netlist 1\n"
+      "node 0 input a\n"
+      "node 1 dff 0 bogus=1\n"
+      "end\n");
+  const auto r = read_netlist(is);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error.rfind("line 3: ", 0), 0u) << r.error;
+  EXPECT_NE(r.error.find("unknown attribute"), std::string::npos) << r.error;
+}
+
 TEST(NetlistIo, RejectsUnknownCell) {
   std::istringstream is(
       "vpga-netlist 1\n"

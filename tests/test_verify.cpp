@@ -459,6 +459,18 @@ TEST(FlowVerifier, OffLevelChecksNothing) {
   EXPECT_TRUE(v.check(Stage::kInput, nl).empty());
 }
 
+// enforce() is the flow's abort path: warnings pass, and an error report
+// names each violated rule on stderr before the assertion fires.
+TEST(FlowVerifier, EnforceAbortsOnErrorsAfterPrintingDiagnostics) {
+  VerifyReport warned;
+  warned.add(Severity::kWarning, "lint.unreachable", "input", NodeId(), "dead node");
+  enforce(warned);
+  VerifyReport failed;
+  failed.add(Severity::kError, "pack.capacity", "post-pack", NodeId(), "tile overfull");
+  EXPECT_DEATH(enforce(failed), "pack.capacity");
+  EXPECT_DEATH(enforce(failed), "flow verification failed");
+}
+
 // The acceptance gate: every bench design runs both flows on both paper
 // architectures at lint+equiv with zero error diagnostics.
 TEST(FlowVerifier, BenchSuitePassesLintEquivCleanly) {

@@ -15,7 +15,7 @@
 
 namespace vpga::fabriclint {
 
-inline constexpr std::array<std::string_view, 22> kLintCatalogue = {
+inline constexpr std::array<std::string_view, 21> kLintCatalogue = {
     // Determinism (all walked trees).
     "det.unordered-iter",
     "det.raw-rng",
@@ -42,7 +42,6 @@ inline constexpr std::array<std::string_view, 22> kLintCatalogue = {
     // Observability naming (src/ only).
     "obs.span-name",
     "obs.metric-name",
-    "obs.event-name",
     // Tree-level sync and build-level checks.
     "verify.rule-sync",
     "hdr.self-contained",

@@ -364,8 +364,7 @@ class Linter {
     const std::string& fn = t[i + 2].text;
     const bool span = fn == "Span";
     const bool metric = fn == "count" || fn == "gauge" || fn == "observe";
-    const bool event = fn == "flight_event";
-    if (!span && !metric && !event) return;
+    if (!span && !metric) return;
     std::size_t j = i + 3;
     if (span && j < t.size() && t[j].kind == TokKind::kIdent) ++j;  // variable name
     if (j >= t.size() || (!is_punct(t[j], "(") && !is_punct(t[j], "{"))) return;
@@ -373,9 +372,8 @@ class Linter {
     if (j >= t.size() || t[j].kind != TokKind::kString) return;
     if (j + 1 < t.size() && is_punct(t[j + 1], "+")) return;  // dynamic name
     const std::string& name = t[j].text;
-    const std::string_view rule =
-        span ? "obs.span-name" : (event ? "obs.event-name" : "obs.metric-name");
-    const char* noun = span ? "span" : (event ? "event" : "metric");
+    const std::string_view rule = span ? "obs.span-name" : "obs.metric-name";
+    const char* noun = span ? "span" : "metric";
     if (!matches_obs_convention(name)) {
       add(t[j].line, rule,
           std::string(noun) + " name '" + name +
@@ -384,8 +382,7 @@ class Linter {
       return;
     }
     if (registry_ == nullptr || registry_->empty()) return;
-    const auto& known =
-        span ? registry_->spans : (event ? registry_->events : registry_->metrics);
+    const auto& known = span ? registry_->spans : registry_->metrics;
     if (known.count(name) == 0)
       add(t[j].line, rule,
           std::string(noun) + " name '" + name +
@@ -411,7 +408,6 @@ ObsRegistry parse_obs_registry(std::string_view names_hpp) {
     if (t.kind == TokKind::kIdent) {
       if (t.text == "kSpanNames") current = &reg.spans;
       if (t.text == "kMetricNames") current = &reg.metrics;
-      if (t.text == "kEventNames") current = &reg.events;
     }
     if (t.kind == TokKind::kString && current != nullptr) current->insert(t.text);
   }

@@ -34,13 +34,10 @@ struct Finding {
 struct ObsRegistry {
   std::set<std::string, std::less<>> spans;
   std::set<std::string, std::less<>> metrics;
-  std::set<std::string, std::less<>> events;
-  [[nodiscard]] bool empty() const {
-    return spans.empty() && metrics.empty() && events.empty();
-  }
+  [[nodiscard]] bool empty() const { return spans.empty() && metrics.empty(); }
 };
 
-/// Scrapes kSpanNames / kMetricNames / kEventNames string literals out of
+/// Scrapes kSpanNames / kMetricNames string literals out of
 /// the registry header's content (src/obs/names.hpp).
 ObsRegistry parse_obs_registry(std::string_view names_hpp);
 
