@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include "compact/compact.hpp"
 #include "designs/designs.hpp"
+#include "obs/obs.hpp"
 #include "place/placement.hpp"
 #include "route/router.hpp"
 #include "synth/mapper.hpp"
@@ -71,6 +78,86 @@ TEST(Route, DeterministicAndFinite) {
   const auto r2 = route::route(p.nl, p.placed, 8.0);
   EXPECT_DOUBLE_EQ(r1.total_wirelength_um, r2.total_wirelength_um);
   EXPECT_GE(r1.peak_congestion, 0.0);
+}
+
+/// FNV-1a over the bit patterns of the per-net lengths: any moved path
+/// changes some net's length or where its length is charged.
+std::uint64_t length_hash(const std::vector<double>& lengths) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (double l : lengths) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &l, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+struct Routed {
+  route::RoutingResult r;
+  long long maze_routes = 0;
+};
+
+Routed route_counted(const Prepared& p, double tile_um, const route::RouterOptions& o) {
+  obs::ObsContext ctx(false, true);
+  Routed out;
+  {
+    const obs::ScopedObs bind(&ctx);
+    out.r = route::route(p.nl, p.placed, tile_um, o);
+  }
+  out.maze_routes = ctx.report().counter("route.maze_routes");
+  return out;
+}
+
+// Pins the router's output on congested cases where maze repair runs, so a
+// faster maze search must reproduce the same paths bit for bit.
+TEST(Route, CongestedRoutePinned) {
+  const auto p = prepare(designs::make_alu(8).netlist);
+  route::RouterOptions o;
+  o.capacity_per_edge = 2;
+  const auto [r, maze_routes] = route_counted(p, 8.0, o);
+  EXPECT_EQ(r.grid_w, 9);
+  EXPECT_EQ(r.grid_h, 9);
+  EXPECT_EQ(maze_routes, 443);
+  EXPECT_EQ(r.total_wirelength_um, 7496.0);
+  EXPECT_EQ(r.overflow_edges, 136);
+  EXPECT_EQ(r.peak_congestion, 5.0);
+  EXPECT_EQ(length_hash(r.net_length_um), 16881040475480531354ull);
+}
+
+// The placement squeezed onto a 2x2 grid: many connections have both
+// endpoints in one cell, and the rest contend for four edges.
+TEST(Route, TwoByTwoGridPinned) {
+  auto p = prepare(designs::make_alu(8).netlist);
+  const double tile = 8.0;
+  for (auto& pt : p.placed.pos) {
+    pt.x = pt.x / p.placed.width_um * 2.0 * tile;
+    pt.y = pt.y / p.placed.height_um * 2.0 * tile;
+  }
+  p.placed.width_um = p.placed.height_um = tile;
+  route::RouterOptions o;
+  o.capacity_per_edge = 1;
+  // Some connection has both endpoints in one cell.
+  const auto cell = [&](const place::Point& pt) {
+    return std::pair{std::min(1, static_cast<int>(pt.x / tile)),
+                     std::min(1, static_cast<int>(pt.y / tile))};
+  };
+  bool shared_cell = false;
+  for (netlist::NodeId id : p.nl.all_nodes())
+    for (netlist::NodeId fi : p.nl.fanins(id))
+      if (fi.valid() && cell(p.placed.pos[fi.index()]) == cell(p.placed.pos[id.index()]))
+        shared_cell = true;
+  EXPECT_TRUE(shared_cell);
+  const auto [r, maze_routes] = route_counted(p, tile, o);
+  EXPECT_EQ(r.grid_w, 2);
+  EXPECT_EQ(r.grid_h, 2);
+  EXPECT_EQ(maze_routes, 127);
+  EXPECT_EQ(r.total_wirelength_um, 1072.0);
+  EXPECT_EQ(r.overflow_edges, 4);
+  EXPECT_EQ(r.peak_congestion, 37.0);
+  EXPECT_EQ(length_hash(r.net_length_um), 11937716584612182517ull);
 }
 
 TEST(Sta, CombinationalDelayPositive) {
