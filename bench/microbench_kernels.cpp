@@ -18,6 +18,7 @@
 #include "obs/obs.hpp"
 #include "pack/packer.hpp"
 #include "place/placement.hpp"
+#include "route/router.hpp"
 #include "synth/cuts.hpp"
 #include "synth/mapper.hpp"
 #include "timing/sta.hpp"
@@ -198,6 +199,20 @@ void BM_PackLowerBound(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(pack::first_fit_tile_count(p.nl, arch));
 }
 BENCHMARK(BM_PackLowerBound)->Arg(32);
+
+// Routing on BM_Pack/32's placement at 8 tracks per edge, where maze repair
+// handles most connections. Arg(0) places L-shapes only (ripup_iterations =
+// 0); Arg(1) adds the default rip-up rounds and maze repair. CI holds the
+// ratio of the two under a bound, so a return to a maze search that floods
+// the grid on every repair trips it.
+void BM_MazeRoute(benchmark::State& state) {
+  const auto p = prepare(32);
+  route::RouterOptions o;
+  o.capacity_per_edge = 8;
+  if (state.range(0) == 0) o.ripup_iterations = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(route::route(p.nl, p.placed, 8.0, o));
+}
+BENCHMARK(BM_MazeRoute)->Arg(0)->Arg(1);
 
 void BM_Sta(benchmark::State& state) {
   const auto p = prepare(static_cast<int>(state.range(0)));

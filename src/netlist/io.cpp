@@ -2,9 +2,12 @@
 
 #include <charconv>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <sstream>
 #include <string_view>
+#include <vector>
 
 #include "common/assert.hpp"
 
@@ -33,15 +36,64 @@ bool parse_unsigned(std::string_view text, std::uint64_t max, std::uint64_t& out
   return ec == std::errc() && ptr == end && out <= max;
 }
 
+/// The order write_netlist emits nodes in: least id first among the nodes
+/// whose constraints are met, where a comb or output node follows its
+/// fanins and an output follows the previous output. A netlist the reader
+/// already accepts keeps its order, and inputs, registers and outputs keep
+/// their relative order in any case. Buffer insertion rewires readers to
+/// buffers appended after them, so creation order is not always loadable.
+std::vector<NodeId> write_order(const Netlist& nl) {
+  const std::size_t n = nl.num_nodes();
+  std::vector<int> pending(n, 0);
+  std::vector<std::vector<std::uint32_t>> waiting(n);  // nodes each one unblocks
+  NodeId last_output;
+  for (NodeId id : nl.all_nodes()) {
+    const NodeType t = nl.node(id).type;
+    if (t != NodeType::kComb && t != NodeType::kOutput) continue;
+    for (NodeId fi : nl.fanins(id)) {
+      if (!fi.valid()) continue;
+      ++pending[id.index()];
+      waiting[fi.index()].push_back(id.value());
+    }
+    if (t == NodeType::kOutput) {
+      if (last_output.valid()) {
+        ++pending[id.index()];
+        waiting[last_output.index()].push_back(id.value());
+      }
+      last_output = id;
+    }
+  }
+  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>, std::greater<>> ready;
+  for (NodeId id : nl.all_nodes())
+    if (pending[id.index()] == 0) ready.push(id.value());
+  std::vector<NodeId> order;
+  order.reserve(n);
+  while (!ready.empty()) {
+    const NodeId id(ready.top());
+    ready.pop();
+    order.push_back(id);
+    for (std::uint32_t r : waiting[id.index()])
+      if (--pending[r] == 0) ready.push(r);
+  }
+  VPGA_ASSERT_MSG(order.size() == n, "write_netlist: combinational cycle");
+  return order;
+}
+
 }  // namespace
 
 void write_netlist(std::ostream& os, const Netlist& nl) {
   os << "vpga-netlist 1\n";
   if (!nl.name().empty()) os << "name " << nl.name() << "\n";
-  for (NodeId id : nl.all_nodes()) {
+  const std::vector<NodeId> order = write_order(nl);
+  std::vector<std::uint32_t> new_id(nl.num_nodes());
+  for (std::size_t k = 0; k < order.size(); ++k)
+    new_id[order[k].index()] = static_cast<std::uint32_t>(k);
+  const auto ref = [&](NodeId id) { return new_id[id.index()]; };
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const NodeId id = order[k];
     const Node& n = nl.node(id);
     const std::string& name = nl.name_of(id);
-    os << "node " << id.value() << ' ';
+    os << "node " << k << ' ';
     switch (n.type) {
       case NodeType::kInput:
         os << "input " << name;
@@ -50,20 +102,20 @@ void write_netlist(std::ostream& os, const Netlist& nl) {
         os << "const " << (n.func.bits() & 1);
         break;
       case NodeType::kOutput:
-        os << "output " << nl.fanin(id, 0).value() << ' ' << name;
+        os << "output " << ref(nl.fanin(id, 0)) << ' ' << name;
         break;
       case NodeType::kDff: {
         const NodeId d = nl.fanin(id, 0);
-        os << "dff " << (d.valid() ? static_cast<long long>(d.value()) : -1LL);
+        os << "dff " << (d.valid() ? static_cast<long long>(ref(d)) : -1LL);
         if (!name.empty()) os << " name=" << name;
         break;
       }
       case NodeType::kComb: {
         os << "comb " << n.func.num_vars() << ' ' << std::hex << n.func.bits() << std::dec;
-        for (NodeId fi : nl.fanins(id)) os << ' ' << fi.value();
+        for (NodeId fi : nl.fanins(id)) os << ' ' << ref(fi);
         if (n.cell) os << " cell=" << cell_token(*n.cell);
         if (n.has_config()) os << " config=" << static_cast<int>(n.config_tag);
-        if (n.in_macro()) os << " macro=" << n.macro_rep.value();
+        if (n.in_macro()) os << " macro=" << ref(n.macro_rep);
         if (!name.empty()) os << " name=" << name;
         break;
       }
@@ -104,6 +156,7 @@ ParseResult read_netlist(std::istream& is) {
   // Deferred range checks: a macro representative may be a later node.
   // (line number, macro id)
   std::vector<std::pair<int, std::uint64_t>> macro_refs;
+  macro_refs.reserve(64);
   // Scratch reused across node lines (fanin lists are tiny but frequent).
   std::vector<NodeId> fanins;
   fanins.reserve(logic::TruthTable::kMaxVars);

@@ -16,8 +16,11 @@
 ///   node 4 output 3 y
 ///   end
 ///
-/// Node ids are the arena indices and must be dense and in order (fanins may
-/// only reference earlier ids, except DFF D-pins which may point forward).
+/// Node ids must be dense and in order (fanins may only reference earlier
+/// ids, except DFF D-pins which may point forward). The writer keeps arena
+/// order where that already holds and otherwise renumbers, moving each comb
+/// or output node after its fanins; inputs, registers and outputs keep
+/// their relative order.
 
 #include <iosfwd>
 #include <string>

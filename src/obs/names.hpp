@@ -33,7 +33,7 @@ inline constexpr std::array<std::string_view, 22> kSpanNames = {
 /// `flow.alloc_*` are the run-wide memtrack totals (per-span totals are the
 /// dynamic "<span>.alloc_bytes" family, exempt by construction like every
 /// concatenated name).
-inline constexpr std::array<std::string_view, 47> kMetricNames = {
+inline constexpr std::array<std::string_view, 48> kMetricNames = {
     "map.cuts_enumerated", "map.dp_rounds", "map.nodes_emitted",
     "compact.cover_rounds",
     "pack.groups", "pack.grow_attempts", "pack.spiral_relocations", "pack.displacement_um",
@@ -41,7 +41,7 @@ inline constexpr std::array<std::string_view, 47> kMetricNames = {
     "flow.alloc_bytes", "flow.alloc_count", "flow.peak_live_bytes",
     "place.median_sweeps", "place.sa_moves", "place.sa_accepted",
     "route.nets", "route.connections", "route.ripups", "route.maze_routes",
-    "route.overflow_edges", "route.peak_congestion",
+    "route.maze_settled", "route.overflow_edges", "route.peak_congestion",
     "sta.analyses", "sta.arrival_propagations",
     "verify.checks", "verify.findings", "verify.errors", "verify.equiv.vectors",
     "verify.via_budget.overruns",

@@ -8,9 +8,12 @@
 /// spanning tree (Manhattan distance) grown from its driver. Connections are
 /// routed as L-shapes with congestion-aware orientation choice, and
 /// overloaded ones are ripped up to re-choose their orientation. Connections
-/// still on overloaded edges are then re-routed by an unbounded Dijkstra
-/// maze search over the whole grid, with edge cost rising quadratically
-/// above capacity (a compact PathFinder-style negotiation).
+/// still on overloaded edges are then re-routed by a maze search over the
+/// whole grid, with edge cost 1 + 4*over^2 above capacity (a compact
+/// PathFinder-style negotiation). The search is A* under a cut bound (each
+/// column and row boundary between a cell and the sink costs at least its
+/// cheapest edge) and returns the least-cost path a Dijkstra search would:
+/// ties go to the predecessor with the least (cost, cell index).
 
 #include <vector>
 

@@ -32,10 +32,12 @@ TEST(Config, Nd3CoverageIsNd3wiSet) {
 TEST(Config, NdmxIsSupersetOfMxAndNd2) {
   const auto& ndmx = config_spec(ConfigKind::kNdmx).coverage;
   for (int f = 0; f < 256; ++f) {
-    if (logic::mux2_set3().test(static_cast<std::size_t>(f)))
+    if (logic::mux2_set3().test(static_cast<std::size_t>(f))) {
       EXPECT_TRUE(ndmx.test(static_cast<std::size_t>(f))) << f;
-    if (logic::nd2wi_set3().test(static_cast<std::size_t>(f)))
+    }
+    if (logic::nd2wi_set3().test(static_cast<std::size_t>(f))) {
       EXPECT_TRUE(ndmx.test(static_cast<std::size_t>(f))) << f;
+    }
   }
   EXPECT_GT(ndmx.count(), logic::mux2_set3().count());
 }

@@ -174,8 +174,12 @@ TEST(Designs, FpuMultiplySmall) {
   EXPECT_EQ(read_bus_outputs(sim, nl, "z_man"), 32u);
   for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
     const auto& name = nl.name_of(nl.outputs()[o]);
-    if (name == "z_sign") EXPECT_TRUE(lane0(sim.output(o)));
-    if (name == "z_zero") EXPECT_FALSE(lane0(sim.output(o)));
+    if (name == "z_sign") {
+      EXPECT_TRUE(lane0(sim.output(o)));
+    }
+    if (name == "z_zero") {
+      EXPECT_FALSE(lane0(sim.output(o)));
+    }
   }
 }
 
@@ -197,7 +201,9 @@ TEST(Designs, NetworkSwitchRoutesPacket) {
   sim.eval();
   EXPECT_EQ(read_bus_outputs(sim, nl, "out1_data"), 0xABu);
   for (std::size_t o = 0; o < nl.outputs().size(); ++o)
-    if (nl.name_of(nl.outputs()[o]) == "out1_valid") EXPECT_TRUE(lane0(sim.output(o)));
+    if (nl.name_of(nl.outputs()[o]) == "out1_valid") {
+      EXPECT_TRUE(lane0(sim.output(o)));
+    }
 }
 
 TEST(Designs, FirewireRegisterFileReadsBack) {

@@ -65,8 +65,9 @@ TEST(FunctionSets, Nd3wiIsClosedUnderInputNegationAndPermutation) {
 TEST(FunctionSets, Nd2wiSet3IsSubsetOfNd3wiSet3) {
   // A 3-input NAND with one input tied to Vdd degenerates to the 2-input gate.
   for (int f = 0; f < 256; ++f)
-    if (nd2wi_set3().test(static_cast<std::size_t>(f)))
+    if (nd2wi_set3().test(static_cast<std::size_t>(f))) {
       EXPECT_TRUE(nd3wi_set3().test(static_cast<std::size_t>(f))) << f;
+    }
 }
 
 TEST(FunctionSets, Mux2Set3ContainsMuxXorLiterals) {
@@ -92,8 +93,9 @@ TEST(FunctionSets, MuxSetStrictlyLargerThanNd2wiSet) {
   // The paper's reason for the XOA element: a MUX covers everything an ND2WI
   // covers, plus the XOR-type functions.
   for (int f = 0; f < 256; ++f)
-    if (nd2wi_set3().test(static_cast<std::size_t>(f)))
+    if (nd2wi_set3().test(static_cast<std::size_t>(f))) {
       EXPECT_TRUE(mux2_set3().test(static_cast<std::size_t>(f))) << f;
+    }
   EXPECT_GT(count(mux2_set3()), count(nd2wi_set3()));
 }
 

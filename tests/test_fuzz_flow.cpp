@@ -107,7 +107,9 @@ TEST_P(FuzzPack, LegalizationRespectsResources) {
                                           : static_cast<core::ConfigKind>(n.config_tag));
   }
   for (const auto& contents : tiles)
-    if (!contents.empty()) EXPECT_TRUE(core::fits_in_one_plb(arch, contents));
+    if (!contents.empty()) {
+      EXPECT_TRUE(core::fits_in_one_plb(arch, contents));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPack, ::testing::Range(1, 9));

@@ -102,8 +102,9 @@ TEST(Mapper, XorChainsPreferMuxOnGranular) {
   const auto r = tech_map(src, cell_target(PlbArchitecture::granular()), Objective::kDelay);
   for (netlist::NodeId id : r.netlist.all_nodes()) {
     const auto& n = r.netlist.node(id);
-    if (n.type == netlist::NodeType::kComb && n.num_fanins() >= 2)
+    if (n.type == netlist::NodeType::kComb && n.num_fanins() >= 2) {
       EXPECT_EQ(*n.cell, library::CellKind::kMux2);
+    }
   }
   EXPECT_TRUE(test::sim_equivalent(src, r.netlist, 200));
 }
@@ -129,8 +130,9 @@ TEST(Buffering, CapsFanout) {
   EXPECT_GT(inserted, 0);
   const auto fan = nl.fanout_counts();
   for (netlist::NodeId id : nl.all_nodes())
-    if (nl.node(id).type != netlist::NodeType::kOutput)
+    if (nl.node(id).type != netlist::NodeType::kOutput) {
       EXPECT_LE(fan[id.index()], 8) << id.index();
+    }
   EXPECT_TRUE(nl.check().ok);
 }
 

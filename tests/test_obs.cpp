@@ -321,13 +321,17 @@ TEST(FlowObs, FlowBRecordsEveryStageSpan) {
   for (const char* child : {"pack.lower_bound", "pack.attempt", "pack.fill"}) {
     ASSERT_TRUE(rep.obs.has_span(child)) << child;
     for (const auto& s : rep.obs.spans)
-      if (s.name == child) EXPECT_GT(s.depth, stage_pack_depth) << child;
+      if (s.name == child) {
+        EXPECT_GT(s.depth, stage_pack_depth) << child;
+      }
   }
   for (const char* child :
        {"route.decompose", "route.initial", "route.negotiate", "route.maze_repair"}) {
     ASSERT_TRUE(rep.obs.has_span(child)) << child;
     for (const auto& s : rep.obs.spans)
-      if (s.name == child) EXPECT_GT(s.depth, stage_route_depth) << child;
+      if (s.name == child) {
+        EXPECT_GT(s.depth, stage_route_depth) << child;
+      }
   }
 
   // At least 10 distinct nonzero counters from the instrumented stages.

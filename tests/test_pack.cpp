@@ -95,8 +95,9 @@ void verify_legal(const Prepared& p, const PackedDesign& d, const PlbArchitectur
     }
   }
   for (const auto& contents : tiles)
-    if (!contents.empty())
+    if (!contents.empty()) {
       EXPECT_TRUE(core::fits_in_one_plb(arch, contents));
+    }
 }
 
 TEST(Pack, AdderLegalizesOnGranular) {
@@ -181,7 +182,9 @@ TEST(Pack, FreeRidersGetTileOfDriver) {
     if (n.type != netlist::NodeType::kComb || n.has_config()) continue;
     if (n.num_fanins() == 0 || !p.nl.fanin(id, 0).valid()) continue;
     const int driver_tile = d.tile_of_node[p.nl.fanin(id, 0).index()];
-    if (driver_tile >= 0) EXPECT_EQ(d.tile_of_node[id.index()], driver_tile);
+    if (driver_tile >= 0) {
+      EXPECT_EQ(d.tile_of_node[id.index()], driver_tile);
+    }
   }
 }
 

@@ -60,8 +60,9 @@ TEST(S3, AnySelectFreedomIsSuperset) {
   const auto designated = analyze_s3().feasible;
   const auto any = s3_feasible_any_select();
   for (int f = 0; f < 256; ++f)
-    if (designated.test(static_cast<std::size_t>(f)))
+    if (designated.test(static_cast<std::size_t>(f))) {
       EXPECT_TRUE(any.test(static_cast<std::size_t>(f)));
+    }
   EXPECT_GE(count(any), 196);
   // 3-input XOR has XOR-type cofactors for every select choice: still out.
   EXPECT_FALSE(any.test(tt3::xor3().bits()));

@@ -404,7 +404,9 @@ TEST(StageChecks, FlowVerifierRoutesViaBudgetThroughPostRouteStage) {
   const auto r = v.check(Stage::kPostRoute, s.compacted, nullptr, &s.packed);
   expect_fired(r, "route.via-budget");
   for (const auto& d : r.diagnostics())
-    if (d.rule == "route.via-budget") EXPECT_EQ(d.stage, "post-route");
+    if (d.rule == "route.via-budget") {
+      EXPECT_EQ(d.stage, "post-route");
+    }
 }
 
 TEST(Equiv, ComplementedNodeFiresOutputDiverges) {

@@ -477,7 +477,7 @@ class SemanticLinter {
       check_dangling_local(tu, fn, df);
       check_loop_perf(tu, fn, df, hot);
       for (const LoopInfo& loop : df.loops)
-        if (loop.range_for) check_iter_invalidation(tu, fn, loop);
+        if (loop.range_for) check_iter_invalidation(tu, loop);
     }
   }
 
@@ -623,8 +623,7 @@ class SemanticLinter {
 
   // det.iter-invalidation ------------------------------------------------
 
-  void check_iter_invalidation(const TuSymbols& tu, const FunctionInfo& fn,
-                               const LoopInfo& loop) {
+  void check_iter_invalidation(const TuSymbols& tu, const LoopInfo& loop) {
     static const std::set<std::string_view> mutators = {
         "push_back", "emplace_back", "insert", "emplace", "erase",
         "clear",     "resize",       "pop_back"};

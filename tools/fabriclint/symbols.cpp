@@ -215,7 +215,7 @@ class TuAnalyzer {
       ++j;
     }
     if (j >= t.size() || name.empty()) return 0;
-    tu_.classes.push_back({name, {}, {}});
+    tu_.classes.push_back({name, {}, {}, {}});
     scopes_.push_back(
         {Scope::Kind::kClass, static_cast<int>(tu_.classes.size() - 1), close_[j]});
     stmt_start = j + 1;
