@@ -19,21 +19,21 @@
 namespace vpga::obs::names {
 
 /// Trace span names (one per obs::Span call site family).
-inline constexpr std::array<std::string_view, 22> kSpanNames = {
+inline constexpr std::array<std::string_view, 23> kSpanNames = {
     "stage.verify",  "stage.map",   "stage.compact", "stage.buffer",
     "stage.place",   "stage.pack",  "stage.route",   "stage.sta",
     "map.tech_map",  "compact.pricing_round",
     "pack.lower_bound", "pack.attempt", "pack.quadrisect", "pack.fill",
     "place.median_sweeps", "place.anneal",
     "route.decompose", "route.initial", "route.negotiate", "route.maze_repair",
-    "sta.analyze",   "verify.cec",
+    "sta.analyze",   "verify.cec", "verify.cec.sweep",
 };
 
 /// Counter / gauge / histogram names (obs::count, obs::gauge, obs::observe).
 /// `flow.alloc_*` are the run-wide memtrack totals (per-span totals are the
 /// dynamic "<span>.alloc_bytes" family, exempt by construction like every
 /// concatenated name).
-inline constexpr std::array<std::string_view, 48> kMetricNames = {
+inline constexpr std::array<std::string_view, 51> kMetricNames = {
     "map.cuts_enumerated", "map.dp_rounds", "map.nodes_emitted",
     "compact.cover_rounds",
     "pack.groups", "pack.grow_attempts", "pack.spiral_relocations", "pack.displacement_um",
@@ -45,7 +45,8 @@ inline constexpr std::array<std::string_view, 48> kMetricNames = {
     "sta.analyses", "sta.arrival_propagations",
     "verify.checks", "verify.findings", "verify.errors", "verify.equiv.vectors",
     "verify.via_budget.overruns",
-    "cec.points", "cec.sweep_merges", "cec.unknown",
+    "cec.points", "cec.sweep_merges", "cec.sweep_refuted", "cec.sweep_budget_outs",
+    "cec.sweep_patterns", "cec.unknown",
     "cec.cache_hits",
     "cec.tier_resolved.structural", "cec.tier_resolved.truth", "cec.tier_resolved.bitsim",
     "cec.tier_resolved.bdd", "cec.tier_resolved.sat",

@@ -106,15 +106,16 @@ Lit MiterEncoder::encode_comb(const Node& n, SideState& ss, NodeId id) {
   for (int i = 0; i < k; ++i) key.kids[i] = kid_buf_[static_cast<std::size_t>(i)].code();
   const Lit fresh(static_cast<Var>(solver_.num_vars()), false);
   const std::uint32_t code = hashcons_.find_or_insert(key, fresh.code());
-  if (code != fresh.code()) {
-    ++hashcons_hits_;
-    return Lit::from_code(code);
-  }
+  if (code != fresh.code()) return Lit::from_code(code);
 
   // New gate: materialize the variable and its Tseitin row clauses
   // (row r: fanins == r implies y == f(r)).
   const Lit y(solver_.new_var(), false);
   VPGA_ASSERT(y == fresh);
+  gate_at_.resize(solver_.num_vars(), kUnset);
+  gate_at_[y.var()] = static_cast<std::uint32_t>(gate_kids_.size());
+  gate_kids_.push_back(static_cast<std::uint32_t>(k));
+  for (const Lit li : kid_buf_) gate_kids_.push_back(li.code());
   for (unsigned r = 0; r < (1u << k); ++r) {
     clause_buf_.clear();
     for (int i = 0; i < k; ++i) {
@@ -125,6 +126,31 @@ Lit MiterEncoder::encode_comb(const Node& n, SideState& ss, NodeId id) {
     solver_.add_clause(clause_buf_);
   }
   return y;
+}
+
+void MiterEncoder::cone(Lit a, Lit b, std::vector<Var>& out) {
+  out.clear();
+  cone_mark_.resize(solver_.num_vars(), 0);
+  ++cone_epoch_;
+  var_stack_.clear();
+  for (const Lit root : {a, b}) {
+    if (cone_mark_[root.var()] == cone_epoch_) continue;
+    cone_mark_[root.var()] = cone_epoch_;
+    var_stack_.push_back(root.var());
+  }
+  while (!var_stack_.empty()) {
+    const Var v = var_stack_.back();
+    var_stack_.pop_back();
+    out.push_back(v);
+    if (v >= gate_at_.size() || gate_at_[v] == kUnset) continue;  // leaf
+    const std::uint32_t at = gate_at_[v];
+    for (std::uint32_t k = 0; k < gate_kids_[at]; ++k) {
+      const Var kid = Lit::from_code(gate_kids_[at + 1 + k]).var();
+      if (cone_mark_[kid] == cone_epoch_) continue;
+      cone_mark_[kid] = cone_epoch_;
+      var_stack_.push_back(kid);
+    }
+  }
 }
 
 }  // namespace vpga::sat

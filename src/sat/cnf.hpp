@@ -16,6 +16,9 @@
 ///
 /// Variable allocation follows construction + encode order only, so CNFs,
 /// and therefore verdicts and models, are byte-stable across runs.
+///
+/// The encoder remembers each gate variable's fanin literals, so cone() can
+/// hand a miter's transitive fanin to Solver's scoped solve.
 
 #include <cstdint>
 #include <vector>
@@ -59,8 +62,10 @@ class MiterEncoder {
     sides_[static_cast<int>(side)].lit_of[node.index()] = lit.code();
   }
 
-  /// Gates that hit the structural-hash cache instead of being re-encoded.
-  [[nodiscard]] long long hashcons_hits() const { return hashcons_hits_; }
+  /// Collects into `out` the variables of the transitive fanin of `a` and
+  /// `b` over the gates encoded so far (each variable once, `a` and `b`
+  /// included) — the scope of a scoped miter solve between them.
+  void cone(Lit a, Lit b, std::vector<Var>& out);
 
  private:
   struct SideState {
@@ -79,9 +84,16 @@ class MiterEncoder {
   std::vector<Lit> state_lits_;
   Lit true_lit_;  ///< invalid until const_lit() first runs
   common::FnKeyMap hashcons_;
-  long long hashcons_hits_ = 0;
+  /// Per variable: offset of its gate record in gate_kids_ (arity, then the
+  /// fanin literal codes), or kUnset for leaves and variables the encoder did
+  /// not create.
+  std::vector<std::uint32_t> gate_at_;
+  std::vector<std::uint32_t> gate_kids_;
+  std::vector<std::uint32_t> cone_mark_;  ///< per variable: last cone() epoch
+  std::uint32_t cone_epoch_ = 0;
   // Encode-loop scratch, hoisted so the hot path never allocates.
   std::vector<netlist::NodeId> stack_;
+  std::vector<Var> var_stack_;
   std::vector<Lit> kid_buf_;
   std::vector<Lit> clause_buf_;
 };

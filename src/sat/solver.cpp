@@ -36,11 +36,11 @@ Var Solver::new_var() {
   reason_.push_back(kNoClause);
   level_.push_back(0);
   heap_pos_.push_back(-1);
+  scope_stamp_.push_back(0);
   model_.push_back(0);
   seen_.push_back(0);
   watches_.emplace_back();
   watches_.emplace_back();
-  heap_insert(v);
   return v;
 }
 
@@ -218,7 +218,7 @@ void Solver::cancel_until(std::size_t level) {
     const Var v = trail_[k - 1].var();
     assigns_[v] = -1;
     reason_[v] = kNoClause;
-    if (heap_pos_[v] < 0) heap_insert(v);
+    if (heap_pos_[v] < 0 && in_scope(v)) heap_insert(v);
   }
   trail_.resize(bound);
   trail_lim_.resize(level);
@@ -293,6 +293,34 @@ Lit Solver::pick_branch() {
 }
 
 Result Solver::solve(std::span<const Lit> assumptions, long long conflict_budget) {
+  begin_scope();
+  for (Var v = 0; v < num_vars(); ++v) add_to_scope(v);
+  return search(assumptions, conflict_budget);
+}
+
+Result Solver::solve(std::span<const Lit> assumptions, long long conflict_budget,
+                     std::span<const Var> scope) {
+  begin_scope();
+  for (const Var v : scope) {
+    VPGA_ASSERT(v < num_vars());
+    add_to_scope(v);
+  }
+  return search(assumptions, conflict_budget);
+}
+
+void Solver::begin_scope() {
+  for (const Var v : heap_) heap_pos_[v] = -1;  // the last call's leftovers
+  heap_.clear();
+  ++scope_epoch_;
+}
+
+void Solver::add_to_scope(Var v) {
+  if (in_scope(v)) return;
+  scope_stamp_[v] = scope_epoch_;
+  if (assigns_[v] < 0) heap_insert(v);
+}
+
+Result Solver::search(std::span<const Lit> assumptions, long long conflict_budget) {
   if (!ok_) return Result::kUnsat;
   VPGA_ASSERT(decision_level() == 0);
   const long long conflict_limit =
@@ -362,7 +390,7 @@ Result Solver::solve(std::span<const Lit> assumptions, long long conflict_budget
     }
     if (!next.valid()) {
       next = pick_branch();
-      if (!next.valid()) {  // every variable assigned: model found
+      if (!next.valid()) {  // every scope variable assigned: model found
         model_.assign(assigns_.begin(), assigns_.end());
         cancel_until(0);
         return Result::kSat;

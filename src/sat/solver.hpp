@@ -16,7 +16,8 @@
 /// (the CEC uses one selector literal per miter output so learned clauses
 /// transfer between outputs). A per-call conflict budget turns
 /// would-be-timeouts into an explicit Result::kUnknown instead of unbounded
-/// runtime.
+/// runtime. A scoped solve branches only on a caller-given variable set (the
+/// fanin cone of a circuit miter) and answers SAT once that set is assigned.
 
 #include <cstdint>
 #include <span>
@@ -92,6 +93,18 @@ class Solver {
   /// later calls may retry with a larger budget).
   Result solve(std::span<const Lit> assumptions = {}, long long conflict_budget = -1);
 
+  /// Scoped solve: decides only assumptions and variables of `scope`, and
+  /// returns kSat as soon as every scope variable is assigned without
+  /// conflict; variables outside the scope may stay unassigned in the model
+  /// (model_value reads them as false). kUnsat and kUnknown mean what they
+  /// mean for solve(). Sound when every conflict-free assignment of the scope
+  /// extends to a model of the whole clause set — true for a Tseitin-encoded
+  /// circuit whose scope is the transitive fanin of the miter literals: the
+  /// gate clauses outside it extend by simulation, and learned clauses are
+  /// implied by the rest.
+  Result solve(std::span<const Lit> assumptions, long long conflict_budget,
+               std::span<const Var> scope);
+
   /// Model access, valid after a solve() that returned kSat.
   [[nodiscard]] bool model_value(Var v) const { return model_[v] == 1; }
 
@@ -122,6 +135,10 @@ class Solver {
   void bump_var(Var v);
   void decay_activities();
   [[nodiscard]] Lit pick_branch();
+  Result search(std::span<const Lit> assumptions, long long conflict_budget);
+  void begin_scope();
+  void add_to_scope(Var v);
+  [[nodiscard]] bool in_scope(Var v) const { return scope_stamp_[v] == scope_epoch_; }
 
   // Variable-order max-heap keyed by (activity desc, index asc).
   [[nodiscard]] bool order_less(Var a, Var b) const {
@@ -147,8 +164,12 @@ class Solver {
 
   std::vector<double> activity_;
   double var_inc_ = 1.0;
-  std::vector<std::uint32_t> heap_;          ///< variable-order heap
+  std::vector<std::uint32_t> heap_;          ///< variable-order heap over the scope
   std::vector<std::int32_t> heap_pos_;       ///< per var: heap index or -1
+  /// Per var: the scope_epoch_ of the last solve whose scope held it (an
+  /// unscoped solve's scope is every variable).
+  std::vector<std::uint32_t> scope_stamp_;
+  std::uint32_t scope_epoch_ = 0;
 
   std::vector<std::int8_t> model_;           ///< assignment snapshot of the last kSat
   std::vector<std::int8_t> seen_;            ///< analyze() scratch

@@ -5,7 +5,9 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <span>
+#include <utility>
 
 #include "bdd/bdd.hpp"
 #include "common/assert.hpp"
@@ -73,6 +75,15 @@ class PointChecker {
       return check_by_sat(idx, is_state, ga, rb);
     }
     if (m <= opts_.max_exhaustive_inputs) return check_exhaustive(idx, is_state, ga, rb, m);
+    if (opts_.sat_sweep) {
+      // Sweep first: when it merged the two drivers the point is settled
+      // before any BDD is built.
+      const auto [la, lb] = miter_lits(ga, rb);
+      if (la == lb) {
+        ++report_.tier_struct;
+        return true;
+      }
+    }
     if (opts_.bdd_tier) {
       bool resolved = false;
       const bool scan = check_by_bdd(idx, is_state, ga, rb, m, resolved);
@@ -83,7 +94,6 @@ class PointChecker {
 
   void finish() {
     if (solver_) report_.sat_stats = solver_->stats();
-    if (encoder_) report_.hashcons_hits = encoder_->hashcons_hits();
   }
 
  private:
@@ -220,36 +230,51 @@ class PointChecker {
     return mgr.ite(args[k - 1], hi, lo);
   }
 
-  /// Tier 4: per-point miter under a selector assumption on the shared
-  /// incremental solver.
-  bool check_by_sat(std::size_t idx, bool is_state, NodeId ga, NodeId rb) {
+  /// The point's two miter literals on the shared solver, which is built —
+  /// and, with sat_sweep, swept — on first use.
+  std::pair<sat::Lit, sat::Lit> miter_lits(NodeId ga, NodeId rb) {
     if (!solver_) {
       solver_ = std::make_unique<sat::Solver>();
       encoder_ = std::make_unique<sat::MiterEncoder>(golden_, revised_, *solver_);
       if (opts_.sat_sweep) sat_sweep();
     }
-    const sat::Lit la = encoder_->encode(sat::MiterEncoder::Side::kGolden, ga);
-    const sat::Lit lb = encoder_->encode(sat::MiterEncoder::Side::kRevised, rb);
+    return {encoder_->encode(sat::MiterEncoder::Side::kGolden, ga),
+            encoder_->encode(sat::MiterEncoder::Side::kRevised, rb)};
+  }
+
+  /// Solves "a != b" under a fresh selector assumption, branching only in the
+  /// two literals' fanin cone, then retires the selector so learned clauses
+  /// carry over to later miters. A kSat model is valid on that cone; inputs
+  /// outside it read 0.
+  sat::Result solve_miter(sat::Lit a, sat::Lit b, long long budget) {
+    const sat::Lit sel(solver_->new_var(), false);
+    solver_->add_clause({~sel, a, b});
+    solver_->add_clause({~sel, ~a, ~b});
+    encoder_->cone(a, b, scope_);
+    const sat::Lit assumption[1] = {sel};
+    const sat::Result res =
+        solver_->solve(std::span<const sat::Lit>(assumption, 1), budget, scope_);
+    solver_->add_clause({~sel});
+    return res;
+  }
+
+  /// Tier 4: per-point miter under a selector assumption on the shared
+  /// incremental solver.
+  bool check_by_sat(std::size_t idx, bool is_state, NodeId ga, NodeId rb) {
+    const auto [la, lb] = miter_lits(ga, rb);
     if (la == lb) {
       // Structural hashing inside the encoder already merged the two cones.
       ++report_.tier_struct;
       return true;
     }
-    const sat::Lit sel(solver_->new_var(), false);
-    solver_->add_clause({~sel, la, lb});
-    solver_->add_clause({~sel, ~la, ~lb});
-    const sat::Lit assumption[1] = {sel};
-    const sat::Result res =
-        solver_->solve(std::span<const sat::Lit>(assumption, 1), opts_.sat_conflict_budget);
+    const sat::Result res = solve_miter(la, lb, opts_.sat_conflict_budget);
     if (res == sat::Result::kUnsat) {
       ++report_.tier_sat;
-      solver_->add_clause({~sel});  // retire this point's miter
       return true;
     }
     if (res == sat::Result::kUnknown) {
       ++report_.unknown;
       report_.unknown_points.push_back(point_name(idx, is_state));
-      solver_->add_clause({~sel});
       return true;
     }
     ++report_.tier_sat;
@@ -268,30 +293,49 @@ class PointChecker {
 
   static constexpr int kSweepWords = 4;          ///< 256 shared stimulus patterns
   static constexpr long long kSweepBudget = 100;  ///< conflicts per candidate proof
+  static constexpr int kMaxPatterns = 64;         ///< refuting models kept (one word)
 
-  /// SAT sweeping: simulate both netlists on the same deterministic stimulus,
-  /// register every golden comb node under its 256-pattern signature
-  /// (complement-canonical), then walk the revised netlist bottom-up proving
-  /// each signature match with a small miter. A proven match rebinds the
-  /// revised node to the golden literal, so the eventual output miters are
+  /// SAT sweeping, the fraig loop: simulate both netlists on the same
+  /// deterministic stimulus and class every golden comb node under its
+  /// 256-pattern signature (complement-canonical), then walk the revised
+  /// netlist bottom-up proving each node against the members of its class in
+  /// topological order with a small cone-scoped miter. A proven match rebinds
+  /// the revised node to the golden literal, so the eventual output miters are
   /// between largely-merged cones — the difference between multiplier CEC
-  /// finishing in milliseconds and not finishing at all.
+  /// finishing in milliseconds and not finishing at all. A refuted candidate's
+  /// model joins a store of simulation patterns; a member those patterns
+  /// already tell apart from the node is skipped without a SAT call. Golden
+  /// nodes are encoded only when compared.
   void sat_sweep() {
+    const obs::Span span("verify.cec.sweep");
     common::Rng rng(0xCEC5EEDull);  // fixed seed: sweep results are byte-stable
     const std::size_t width = golden_.inputs().size() + golden_.dffs().size();
     stimulus_.resize(width * static_cast<std::size_t>(kSweepWords));
     for (auto& w : stimulus_) w = rng.next_u64();
     sim_signatures(golden_, sweep_sig_[0]);
     sim_signatures(revised_, sweep_sig_[1]);
+    next_member_.assign(golden_.num_nodes(), NodeId());
     for (const NodeId id : golden_.topo_order()) {
       if (golden_.node(id).type != NodeType::kComb) continue;
-      const sat::Lit lit = encoder_->encode(sat::MiterEncoder::Side::kGolden, id);
-      sweep_node(0, id, lit);
+      const auto cls = static_cast<std::uint32_t>(class_head_.size());
+      const std::uint32_t found = sweepmap_.find_or_insert(sweep_key(0, id), cls);
+      if (found == cls) {
+        class_head_.push_back(id);
+        class_tail_.push_back(id);
+      } else {
+        next_member_[class_tail_[found].index()] = id;
+        class_tail_[found] = id;
+      }
     }
+    // Lane k of the pattern store holds refuting model k; lanes not yet
+    // filled hold the all-zero assignment, which is a valid pattern too.
+    pattern_words_.assign(width, 0);
+    pattern_sim_[0].emplace(golden_);
+    pattern_sim_[1].emplace(revised_);
+    simulate_patterns();
     for (const NodeId id : revised_.topo_order()) {
       if (revised_.node(id).type != NodeType::kComb) continue;
-      const sat::Lit lit = encoder_->encode(sat::MiterEncoder::Side::kRevised, id);
-      sweep_node(1, id, lit);
+      sweep_node(id, encoder_->encode(sat::MiterEncoder::Side::kRevised, id));
     }
   }
 
@@ -317,44 +361,86 @@ class PointChecker {
     }
   }
 
-  /// Registers node `id` (literal `lit`) under its canonical signature, or —
-  /// for the revised side — proves it equal to the registered representative
-  /// and rebinds it. Registration keys carry the full 256-bit signature, so
-  /// only genuinely signature-equal nodes ever meet.
-  void sweep_node(int side, NodeId id, sat::Lit lit) {
+  /// Complement-canonical phase of a node's sweep signature.
+  [[nodiscard]] bool sweep_phase(int side, NodeId id) const {
+    return (sweep_sig_[side][id.index() * static_cast<std::size_t>(kSweepWords)] & 1u) != 0;
+  }
+
+  /// Class key: the full 256-bit complement-canonical signature, so only
+  /// genuinely signature-equal nodes ever meet.
+  [[nodiscard]] common::FnKey sweep_key(int side, NodeId id) const {
     const std::uint64_t* sig =
         sweep_sig_[side].data() + id.index() * static_cast<std::size_t>(kSweepWords);
-    const bool phase = (sig[0] & 1u) != 0;  // complement-canonical form
-    const std::uint64_t w0 = phase ? ~sig[0] : sig[0];
-    const std::uint64_t w1 = phase ? ~sig[1] : sig[1];
-    const std::uint64_t w2 = phase ? ~sig[2] : sig[2];
-    const std::uint64_t w3 = phase ? ~sig[3] : sig[3];
+    const std::uint64_t flip = sweep_phase(side, id) ? ~std::uint64_t{0} : 0;
     common::FnKey key;
     key.tag = 5;
-    key.bits = w0;
-    key.kids[0] = static_cast<std::uint32_t>(w1);
-    key.kids[1] = static_cast<std::uint32_t>(w1 >> 32);
-    key.kids[2] = static_cast<std::uint32_t>(w2);
-    key.kids[3] = static_cast<std::uint32_t>(w2 >> 32);
-    key.kids[4] = static_cast<std::uint32_t>(w3);
-    key.kids[5] = static_cast<std::uint32_t>(w3 >> 32);
-    const sat::Lit canon = phase ? ~lit : lit;
-    const std::uint32_t found = sweepmap_.find_or_insert(key, canon.code());
-    if (found == canon.code() || side == 0) return;  // representative, or golden pass
-    const sat::Lit rep = phase ? ~sat::Lit::from_code(found) : sat::Lit::from_code(found);
-    if (rep == lit) return;  // already shared via structural hashing
-    const sat::Lit sel(solver_->new_var(), false);
-    solver_->add_clause({~sel, lit, rep});
-    solver_->add_clause({~sel, ~lit, ~rep});
-    const sat::Lit assumption[1] = {sel};
-    const sat::Result res =
-        solver_->solve(std::span<const sat::Lit>(assumption, 1), kSweepBudget);
-    solver_->add_clause({~sel});
-    if (res != sat::Result::kUnsat) return;  // candidate refuted or budget-out
-    solver_->add_clause({~lit, rep});
-    solver_->add_clause({lit, ~rep});
-    encoder_->set_lit(sat::MiterEncoder::Side::kRevised, id, rep);
-    ++report_.sweep_merges;
+    key.bits = sig[0] ^ flip;
+    for (int w = 1; w < kSweepWords; ++w) {
+      const std::uint64_t word = sig[w] ^ flip;
+      key.kids[2 * w - 2] = static_cast<std::uint32_t>(word);
+      key.kids[2 * w - 1] = static_cast<std::uint32_t>(word >> 32);
+    }
+    return key;
+  }
+
+  /// Proves revised node `id` (literal `lit`) against its class members in
+  /// order and rebinds it to the first one proven equal. A refutation stores
+  /// its model as a pattern and moves on to the next member; a budget-out,
+  /// or a refutation once the store is full, ends the search.
+  void sweep_node(NodeId id, sat::Lit lit) {
+    const std::uint32_t cls = sweepmap_.find(sweep_key(1, id));
+    if (cls == common::FnKeyMap::kNotFound) return;
+    const bool phase = sweep_phase(1, id);
+    for (NodeId g = class_head_[cls]; g.valid(); g = next_member_[g.index()]) {
+      const bool flip = phase != sweep_phase(0, g);  // candidate: id == g ^ flip
+      const std::uint64_t differ = pattern_sim_[1]->value(id) ^ pattern_sim_[0]->value(g);
+      if (differ != (flip ? ~std::uint64_t{0} : 0)) continue;  // a stored model separates them
+      const sat::Lit glit = encoder_->encode(sat::MiterEncoder::Side::kGolden, g);
+      const sat::Lit rep = flip ? ~glit : glit;
+      if (rep == lit) return;  // already shared via structural hashing
+      const sat::Result res = solve_miter(lit, rep, kSweepBudget);
+      if (res == sat::Result::kUnsat) {
+        solver_->add_clause({~lit, rep});
+        solver_->add_clause({lit, ~rep});
+        encoder_->set_lit(sat::MiterEncoder::Side::kRevised, id, rep);
+        ++report_.sweep_merges;
+        return;
+      }
+      if (res == sat::Result::kUnknown) {
+        ++report_.sweep_budget_outs;
+        return;
+      }
+      ++report_.sweep_refuted;
+      if (!add_pattern()) return;
+    }
+  }
+
+  /// Adds the solver's last model to the pattern store and re-simulates both
+  /// netlists on it. False when the store is already full.
+  bool add_pattern() {
+    if (num_patterns_ == kMaxPatterns) return false;
+    const std::uint64_t lane = std::uint64_t{1} << num_patterns_++;
+    ++report_.sweep_patterns;
+    for (std::size_t i = 0; i < encoder_->num_inputs(); ++i) {
+      if (solver_->model_value(encoder_->input_lit(i).var())) pattern_words_[i] |= lane;
+    }
+    const std::size_t ni = encoder_->num_inputs();
+    for (std::size_t d = 0; d < encoder_->num_states(); ++d) {
+      if (solver_->model_value(encoder_->state_lit(d).var())) pattern_words_[ni + d] |= lane;
+    }
+    simulate_patterns();
+    return true;
+  }
+
+  void simulate_patterns() {
+    const std::size_t ni = golden_.inputs().size();
+    for (std::optional<BitSimulator>& sim : pattern_sim_) {
+      for (std::size_t i = 0; i < ni; ++i) sim->set_input(i, pattern_words_[i]);
+      for (std::size_t d = 0; d < golden_.dffs().size(); ++d) {
+        sim->set_state(d, pattern_words_[ni + d]);
+      }
+      sim->eval();
+    }
   }
 
   /// Expands a merged-support row (bit j = leaf j) into a full-interface
@@ -468,9 +554,16 @@ class PointChecker {
   CecReport& report_;
   common::FnKeyMap sigmap_;
   std::vector<std::uint32_t> sig_[2];
-  common::FnKeyMap sweepmap_;
+  common::FnKeyMap sweepmap_;  ///< canonical signature -> class index
+  std::vector<NodeId> class_head_;   ///< per class: first golden member
+  std::vector<NodeId> class_tail_;   ///< per class: last golden member
+  std::vector<NodeId> next_member_;  ///< per golden node: next member of its class
   std::vector<std::uint64_t> stimulus_;
   std::vector<std::uint64_t> sweep_sig_[2];
+  std::vector<std::uint64_t> pattern_words_;  ///< per input, then per DFF: stored models
+  std::optional<BitSimulator> pattern_sim_[2];
+  int num_patterns_ = 0;
+  std::vector<sat::Var> scope_;
   ConeSupport merged_;
   // BDD-tier scratch, hoisted like the rest of the per-point loop state.
   std::vector<std::uint32_t> bdd_level_;
@@ -575,6 +668,9 @@ void check_cec(const Netlist& golden, const Netlist& revised, const std::string&
 
   obs::count("cec.points", cec.checks);
   obs::count("cec.sweep_merges", cec.sweep_merges);
+  obs::count("cec.sweep_refuted", cec.sweep_refuted);
+  obs::count("cec.sweep_budget_outs", cec.sweep_budget_outs);
+  obs::count("cec.sweep_patterns", cec.sweep_patterns);
   obs::count("cec.unknown", cec.unknown);
   // The per-point tier-resolution family: one counter per ladder tier, so
   // BENCH_flow.json and --metrics-json break down where points land.

@@ -12,20 +12,31 @@
 ///   2. exhaustive: union support up to `max_exhaustive_inputs` is swept
 ///      completely by netlist::exhaustive_mismatch (2^n / 64 evaluations of
 ///      the 64-way bit simulator); the first differing row is the witness.
-///   3. BDD: both cones are built as ROBDDs (bdd/bdd.hpp) in one manager
+///   3. sweep: the first point above the exhaustive ceiling runs SAT
+///      sweeping (the fraig loop) once for the boundary: both netlists are
+///      simulated on shared deterministic stimulus, golden comb nodes are
+///      classed by 256-bit signature, and each revised node is proven against
+///      its class members in turn with a small cone-scoped miter. A refuting
+///      model becomes a simulation pattern that skips later candidates it
+///      already separates; a proof merges the revised node onto the golden
+///      one. A point whose two drivers merged is settled here and counts as
+///      structural, before any BDD is built.
+///   4. BDD: both cones are built as ROBDDs (bdd/bdd.hpp) in one manager
 ///      under a shared, DFS-derived variable order, so equivalence is a root
 ///      edge compare. A hard node budget bounds the tier; exhausting it falls
 ///      through to SAT instead of growing. This is the complete tier for
-///      XOR-dominated cones (parity chains, carry trees) where CDCL clause
-///      learning scales exponentially but BDDs stay linear.
-///   4. SAT: everything else becomes a per-point miter over one incremental
-///      CDCL solver (sat/solver.hpp) — selector assumptions retire solved
-///      points while learned clauses carry over to the next. Before the first
-///      miter, a SAT-sweeping pass simulates both netlists on shared
-///      deterministic stimulus, pairs internal nodes by signature, and proves
-///      the candidates bottom-up, merging equal nodes across the two sides so
-///      deep miters (multiplier outputs, wide datapaths) collapse instead of
-///      exploding.
+///      XOR cones that differ in structure (parity chains, carry trees), where
+///      no merge happens and CDCL clause learning scales exponentially but
+///      BDDs stay linear.
+///   5. SAT: everything else becomes a per-point miter over the same
+///      incremental CDCL solver (sat/solver.hpp) — selector assumptions
+///      retire solved points while learned clauses carry over to the next.
+///      Every miter solve branches only on the fanin cone of its two literals
+///      and reports SAT once that cone is assigned; inputs outside the cone
+///      read 0 in the witness.
+///
+/// With `sat_sweep` off the ladder is structural, exhaustive, BDD, SAT; with
+/// `force_bdd` every point goes to the BDD tier first and then to SAT.
 ///
 /// Registers pair by position: golden DFF i is revised DFF i, one shared
 /// state leaf and one next-state check point. No flow stage reorders
@@ -65,11 +76,11 @@ struct CecOptions {
   /// Per-point SAT conflict budget; exhausting it yields cec.resource-limit
   /// (a warning) instead of an unbounded solve.
   long long sat_conflict_budget = 1 << 20;
-  /// Run the SAT-sweeping pass before the first miter (disable to benchmark
-  /// the raw per-point solver).
+  /// Run the SAT-sweeping tier between the exhaustive tier and BDD (disable
+  /// to benchmark the raw BDD -> SAT ladder).
   bool sat_sweep = true;
-  /// Run the BDD tier between the exhaustive sweep and SAT (disable to
-  /// benchmark the raw SAT tier).
+  /// Run the BDD tier between the sweep and SAT (disable to benchmark the
+  /// raw SAT tier).
   bool bdd_tier = true;
   /// Per-point node budget for the BDD tier; exhausting it abandons the
   /// point's BDDs and falls through to SAT instead of growing without bound.
@@ -96,17 +107,19 @@ struct CecReport {
   /// `unknown`); meaningless when interface_ok is false.
   bool equivalent = true;
   int checks = 0;           ///< points compared
-  int tier_struct = 0;      ///< settled by structural signatures
+  int tier_struct = 0;      ///< settled by structural signatures or a sweep merge
   int tier_table = 0;       ///< settled exhaustively over <= 6 leaves (one word)
   int tier_exhaustive = 0;  ///< settled exhaustively over > 6 leaves
   int tier_bdd = 0;         ///< settled by ROBDD root comparison
   int tier_sat = 0;         ///< settled by the SAT miter
-  long long sweep_merges = 0;  ///< internal nodes proven equal by SAT sweeping
+  long long sweep_merges = 0;       ///< internal nodes proven equal by SAT sweeping
+  long long sweep_refuted = 0;      ///< sweep candidates a SAT model told apart
+  long long sweep_budget_outs = 0;  ///< sweep candidates left open by the budget
+  long long sweep_patterns = 0;     ///< refuting models stored as sweep patterns
   int unknown = 0;          ///< points that exhausted the SAT budget
   std::vector<std::string> unknown_points;
   std::optional<CecCounterexample> cex;
   sat::SolverStats sat_stats;
-  long long hashcons_hits = 0;
   /// BDD tier statistics (cumulative over every point the tier attempted).
   long long bdd_nodes = 0;      ///< nodes allocated across all per-point managers
   long long bdd_ite_calls = 0;  ///< non-terminal ITE recursions

@@ -398,6 +398,45 @@ TEST(Cec, SweepCollapsesMappedDesign) {
   EXPECT_TRUE(rep.proven()) << "ALU tech-map must prove exactly";
 }
 
+TEST(Cec, SweepRefinesClassWithRefutingModels) {
+  // W, a 40-input AND, is 0 on every sweep pattern, so golden g1 = y ^ W
+  // and g2 = y | (y & W) = y share the 256-pattern signature of y, with g1
+  // first in topological order. The revised r = y & (y | W) equals g2 but
+  // not g1. The sweep refutes r's class-mate u = y | W against g1 and g2,
+  // keeps both models as patterns, skips g1 for r without a SAT call and
+  // merges r onto g2 — so the wide second output settles structurally, with
+  // no BDD or SAT miter. (The upper AND-tree nodes are 0 on every pattern
+  // too; meeting each other in that class adds refutations of their own.)
+  auto build = [](bool revised) {
+    Netlist nl(revised ? "revised" : "golden");
+    std::vector<NodeId> layer;
+    for (int i = 0; i < 40; ++i) layer.push_back(nl.add_input("x" + std::to_string(i)));
+    const NodeId y = nl.add_input("y");
+    while (layer.size() > 1) {
+      std::vector<NodeId> next;
+      for (std::size_t i = 0; i + 1 < layer.size(); i += 2)
+        next.push_back(nl.add_and(layer[i], layer[i + 1]));
+      if (layer.size() % 2 != 0) next.push_back(layer.back());
+      layer = std::move(next);
+    }
+    const NodeId w = layer[0];
+    nl.add_output(nl.add_xor(y, w), "o1");
+    nl.add_output(revised ? nl.add_and(y, nl.add_or(y, w)) : nl.add_or(y, nl.add_and(y, w)),
+                  "o2");
+    return nl;
+  };
+  const Netlist golden = build(false);
+  const Netlist revised = build(true);
+  const CecReport rep = check_combinational_equivalence(golden, revised);
+  EXPECT_TRUE(rep.proven());
+  EXPECT_EQ(rep.sweep_merges, 1);
+  EXPECT_GE(rep.sweep_refuted, 2);
+  EXPECT_EQ(rep.sweep_patterns, rep.sweep_refuted);
+  EXPECT_EQ(rep.tier_struct, 2);
+  EXPECT_EQ(rep.tier_bdd, 0);
+  EXPECT_EQ(rep.tier_sat, 0);
+}
+
 TEST(Cec, VerdictAndCounterexampleAreByteStable) {
   const Netlist golden = make_and_tree(40);
   const Netlist mutated = make_and_tree(40, /*mutate_at=*/3);

@@ -98,6 +98,7 @@ std::uint64_t length_hash(const std::vector<double>& lengths) {
 struct Routed {
   route::RoutingResult r;
   long long maze_routes = 0;
+  long long maze_settled = 0;
 };
 
 Routed route_counted(const Prepared& p, double tile_um, const route::RouterOptions& o) {
@@ -108,19 +109,23 @@ Routed route_counted(const Prepared& p, double tile_um, const route::RouterOptio
     out.r = route::route(p.nl, p.placed, tile_um, o);
   }
   out.maze_routes = ctx.report().counter("route.maze_routes");
+  out.maze_settled = ctx.report().counter("route.maze_settled");
   return out;
 }
 
 // Pins the router's output on congested cases where maze repair runs, so a
-// faster maze search must reproduce the same paths bit for bit.
+// faster maze search must reproduce the same paths bit for bit, and the cells
+// it settles, so a search that does more work fails here even when its paths
+// are the same.
 TEST(Route, CongestedRoutePinned) {
   const auto p = prepare(designs::make_alu(8).netlist);
   route::RouterOptions o;
   o.capacity_per_edge = 2;
-  const auto [r, maze_routes] = route_counted(p, 8.0, o);
+  const auto [r, maze_routes, maze_settled] = route_counted(p, 8.0, o);
   EXPECT_EQ(r.grid_w, 9);
   EXPECT_EQ(r.grid_h, 9);
   EXPECT_EQ(maze_routes, 443);
+  EXPECT_EQ(maze_settled, 2151);
   EXPECT_EQ(r.total_wirelength_um, 7496.0);
   EXPECT_EQ(r.overflow_edges, 136);
   EXPECT_EQ(r.peak_congestion, 5.0);
@@ -150,10 +155,11 @@ TEST(Route, TwoByTwoGridPinned) {
       if (fi.valid() && cell(p.placed.pos[fi.index()]) == cell(p.placed.pos[id.index()]))
         shared_cell = true;
   EXPECT_TRUE(shared_cell);
-  const auto [r, maze_routes] = route_counted(p, tile, o);
+  const auto [r, maze_routes, maze_settled] = route_counted(p, tile, o);
   EXPECT_EQ(r.grid_w, 2);
   EXPECT_EQ(r.grid_h, 2);
   EXPECT_EQ(maze_routes, 127);
+  EXPECT_EQ(maze_settled, 265);
   EXPECT_EQ(r.total_wirelength_um, 1072.0);
   EXPECT_EQ(r.overflow_edges, 4);
   EXPECT_EQ(r.peak_congestion, 37.0);

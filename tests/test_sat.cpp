@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace vpga::sat {
@@ -197,6 +198,118 @@ TEST(SatSolver, ModelIsDeterministic) {
     return model;
   };
   EXPECT_EQ(run(), run());
+}
+
+/// A random Tseitin circuit of 2-input gates over `inputs` leaves, encoded
+/// identically into every solver of `solvers`. kids[g] are gate g's fanin
+/// variables, funcs[g] its 4-row truth table.
+struct Circuit {
+  std::vector<Var> vars;  ///< leaves first, then one per gate
+  std::vector<std::pair<std::size_t, std::size_t>> kids;
+  std::vector<unsigned> funcs;
+  std::size_t leaves = 0;
+
+  [[nodiscard]] bool eval_gate(std::size_t g, bool a, bool b) const {
+    return ((funcs[g] >> ((a ? 1u : 0u) | (b ? 2u : 0u))) & 1u) != 0;
+  }
+};
+
+Circuit make_circuit(std::initializer_list<Solver*> solvers, std::size_t inputs, int gates) {
+  Circuit c;
+  c.leaves = inputs;
+  std::uint64_t rng = 0x5C0BEDull;
+  auto next = [&rng](std::uint64_t n) {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::size_t>((rng >> 33) % n);
+  };
+  for (std::size_t i = 0; i < inputs; ++i) {
+    Var x = 0;
+    for (Solver* s : solvers) x = s->new_var();  // lockstep: same index everywhere
+    c.vars.push_back(x);
+  }
+  for (int g = 0; g < gates; ++g) {
+    const std::size_t a = next(c.vars.size());
+    const std::size_t b = next(c.vars.size());
+    const unsigned f = 1u + static_cast<unsigned>(next(14));  // never constant
+    c.kids.emplace_back(a, b);
+    c.funcs.push_back(f);
+    Var y = 0;
+    for (Solver* s : solvers) y = s->new_var();
+    c.vars.push_back(y);
+    const std::size_t gi = c.kids.size() - 1;
+    for (unsigned r = 0; r < 4; ++r) {
+      const bool ra = (r & 1u) != 0, rb = (r & 2u) != 0;
+      const Lit out(y, !c.eval_gate(gi, ra, rb));
+      for (Solver* s : solvers) s->add_clause({Lit(c.vars[a], ra), Lit(c.vars[b], rb), out});
+    }
+  }
+  return c;
+}
+
+TEST(SatSolver, ScopedSolveStopsAtTheConeAndKeepsVerdicts) {
+  // Miters between gate pairs of one random circuit, solved in full on one
+  // solver and scoped to the pair's fanin cone on an identical one: the
+  // verdicts agree, and a scoped model satisfies every gate of the cone.
+  Solver full, scoped;
+  const Circuit c = make_circuit({&full, &scoped}, 6, 40);
+  // A clause over two variables no gate reads: a complete model must make
+  // one of them true, a scoped one never touches them.
+  Var y = 0, w = 0;
+  for (Solver* s : {&full, &scoped}) {
+    y = s->new_var();
+    w = s->new_var();
+    s->add_clause({Lit(y, false), Lit(w, false)});
+  }
+  int sats = 0, unsats = 0;
+  for (std::size_t i = c.leaves; i < c.vars.size(); i += 3) {
+    const std::size_t j = c.vars.size() - 1 - (i - c.leaves) / 2;
+    std::vector<Var> scope;
+    std::vector<bool> in_cone(c.vars.size(), false);
+    std::vector<std::size_t> stack = {i, j};
+    while (!stack.empty()) {
+      const std::size_t n = stack.back();
+      stack.pop_back();
+      if (in_cone[n]) continue;
+      in_cone[n] = true;
+      scope.push_back(c.vars[n]);
+      if (n >= c.leaves) {
+        stack.push_back(c.kids[n - c.leaves].first);
+        stack.push_back(c.kids[n - c.leaves].second);
+      }
+    }
+    Result verdict[2] = {};
+    for (int k = 0; k < 2; ++k) {
+      Solver& s = k == 0 ? full : scoped;
+      const Lit sel(s.new_var(), false);
+      s.add_clause({~sel, pos(c.vars[i]), pos(c.vars[j])});
+      s.add_clause({~sel, neg(c.vars[i]), neg(c.vars[j])});
+      const Lit assume[1] = {sel};
+      verdict[k] = k == 0 ? s.solve(std::span<const Lit>(assume, 1))
+                          : s.solve(std::span<const Lit>(assume, 1), -1, scope);
+      if (verdict[k] == Result::kSat && k == 1) {
+        ++sats;
+        EXPECT_NE(s.model_value(c.vars[i]), s.model_value(c.vars[j]));
+        for (std::size_t n = c.leaves; n < c.vars.size(); ++n) {
+          if (!in_cone[n]) continue;
+          const auto [a, b] = c.kids[n - c.leaves];
+          EXPECT_EQ(s.model_value(c.vars[n]),
+                    c.eval_gate(n - c.leaves, s.model_value(c.vars[a]), s.model_value(c.vars[b])));
+        }
+        EXPECT_FALSE(s.model_value(y) || s.model_value(w)) << "left unassigned";
+      }
+      if (verdict[k] == Result::kSat && k == 0) {
+        EXPECT_TRUE(s.model_value(y) || s.model_value(w));
+      }
+      s.add_clause({~sel});
+    }
+    EXPECT_EQ(verdict[0], verdict[1]) << "gates " << i << ", " << j;
+    unsats += verdict[1] == Result::kUnsat ? 1 : 0;
+  }
+  EXPECT_GT(sats, 0);
+  EXPECT_GT(unsats, 0);
+  // An unscoped solve after scoped ones still finds a complete model.
+  ASSERT_EQ(scoped.solve(), Result::kSat);
+  EXPECT_TRUE(scoped.model_value(y) || scoped.model_value(w));
 }
 
 TEST(SatSolver, LubySequence) {
